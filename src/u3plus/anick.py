@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
 from .free_algebra import (
     Degree,
     EMPTY_WORD,
@@ -192,7 +190,11 @@ class ModuleElement:
 
 @dataclass
 class GradedMatrix:
-    """The matrix of one differential in one degree, over the exact field."""
+    """The matrix of one differential in one degree, over the exact field.
+
+    Instances are shared through ``AnickComplex.matrix``'s memo: read them,
+    never mutate them (``rank`` works on a copy).
+    """
 
     degree: Degree
     row_labels: list[tuple[Word, Chain]]
@@ -223,6 +225,8 @@ class GradedMatrix:
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     if not rows or not rows[0]:
         return 0
+    import numpy as np  # only F_p ranks need it; keeps it off import time
+
     a = np.array(rows, dtype=np.int64) % p
     n_rows, n_cols = a.shape
     rank = 0
@@ -320,6 +324,7 @@ class AnickComplex:
         self.t2 = self._build_t2()
         self._t2_by_chars = {c.word.chars: c for c in self.t2}
         self._d_memo: dict[tuple[int, Chain], ModuleElement] = {}
+        self._matrix_memo: dict[tuple, GradedMatrix] = {}
         self._words_bound = -1
         self._words_by_degree: dict[Degree, list[Word]] = {}
 
@@ -413,22 +418,20 @@ class AnickComplex:
     # -- the maps -------------------------------------------------------------
 
     def act(self, m: Union[Word, str], elt: ModuleElement) -> ModuleElement:
-        """Left action of an irreducible word: multiply, then normalize."""
+        """Left action of a word on an element whose words are irreducible:
+        the letters of m act through the system's letter-action memo."""
         chars = m.chars if isinstance(m, Word) else m
         if not chars:
             return elt
-        field = self.field
-        nf = self.system._nf_chars
-        out: dict[tuple[Word, Chain], object] = {}
+        by_chain: dict[Chain, dict[str, object]] = {}
         for (w, t), c in elt.items():
-            for chars2, c2 in nf(chars + w.chars).items():
-                key = (Word(chars2), t)
-                s = field.add(out.get(key, 0), field.mul(c, c2))
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return ModuleElement(elt.level, out, field, _clean=True)
+            by_chain.setdefault(t, {})[w.chars] = c
+        left_multiply = self.system._left_multiply
+        out: dict[tuple[Word, Chain], object] = {}
+        for t, terms in by_chain.items():
+            for chars2, c2 in left_multiply(chars, terms).items():
+                out[(Word(chars2), t)] = c2
+        return ModuleElement(elt.level, out, self.field, _clean=True)
 
     def act_poly(self, f: Polynomial, elt: ModuleElement) -> ModuleElement:
         out = ModuleElement.zero(elt.level, self.field)
@@ -596,7 +599,26 @@ class AnickComplex:
                target_chains: Optional[Sequence[Chain]] = None,
                dmap: Optional[Callable[[Chain], ModuleElement]] = None
                ) -> GradedMatrix:
-        """The matrix of d_n (or of a supplied chain map) in one degree."""
+        """The matrix of d_n (or of a supplied chain map) in one degree.
+
+        Memoized: every caller of one (map, degree, source, target) gets the
+        same GradedMatrix, which therefore must never be mutated.
+        """
+        key = (n, degree,
+               None if source_chains is None else tuple(source_chains),
+               None if target_chains is None else tuple(target_chains),
+               dmap)
+        hit = self._matrix_memo.get(key)
+        if hit is None:
+            hit = self._matrix_memo[key] = self._matrix(
+                n, degree, source_chains, target_chains, dmap)
+        return hit
+
+    def _matrix(self, n: int, degree: Degree,
+                source_chains: Optional[Sequence[Chain]],
+                target_chains: Optional[Sequence[Chain]],
+                dmap: Optional[Callable[[Chain], ModuleElement]]
+                ) -> GradedMatrix:
         cols = self.basis(n, degree, source_chains)
         rows = self.basis(n - 1, degree, target_chains)
         index = {(m.chars, t): i for i, (m, t) in enumerate(rows)}

@@ -43,12 +43,34 @@ class UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _window(args) -> Window:
     if not is_prime(args.p):
         raise UsageError(f"--p must be prime, got {args.p}")
     if args.j >= args.m:
         raise UsageError(f"--j must be below --m, got j={args.j} m={args.m}")
     return Window(args.p, args.j, args.m)
+
+
+def _big_system(field, args, win: Window, truncated: bool):
+    bound = args.bound if args.bound is not None else win.p**win.m - 1
+    try:
+        return big_rewrite_system(field, bound, truncated=truncated)
+    except ValueError as exc:
+        raise UsageError(f"--bound: {exc}") from exc
 
 
 def _emit(payload: dict, text: str, args) -> None:
@@ -78,8 +100,7 @@ def cmd_nf(args) -> int:
             raise UsageError("the window basis needs characteristic p")
         system = small_groebner_basis(win)
     else:
-        bound = args.bound if args.bound else win.p**win.m - 1
-        system = big_rewrite_system(field, bound, truncated=not args.char0)
+        system = _big_system(field, args, win, truncated=not args.char0)
     result = system.normal_form(poly)
     rendered = format_poly(result, system.order)
     _emit({"input": args.expression, "normal_form": rendered}, rendered, args)
@@ -89,8 +110,7 @@ def cmd_nf(args) -> int:
 def cmd_gb(args) -> int:
     win = _window(args)
     if args.big:
-        bound = args.bound if args.bound else win.p**win.m - 1
-        system = big_rewrite_system(win.field, bound, truncated=True)
+        system = _big_system(win.field, args, win, truncated=True)
     else:
         system = small_groebner_basis(win)
     cert = system.is_complete()
@@ -217,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", metavar="PATH",
                        help="write a JSON report (- for stdout)")
         if max_deg:
-            p.add_argument("--max-deg", type=int, default=8,
+            p.add_argument("--max-deg", type=_int_at_least(0), default=8,
                            help="total-weight bound for graded checks")
 
     p_nf = sub.add_parser("nf", help="normal form of an expression")
@@ -225,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_nf.add_argument("--char0", action="store_true",
                       help="characteristic-zero coefficients "
                            "(divided alphabet only)")
-    p_nf.add_argument("--bound", type=int, default=0,
-                      help="divided-power bound for the big system")
+    p_nf.add_argument("--bound", type=_int_at_least(1),
+                      help="divided-power bound for the big system "
+                           "(default p^m - 1)")
     p_nf.add_argument("expression")
     p_nf.set_defaults(func=cmd_nf)
 
@@ -234,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_gb)
     p_gb.add_argument("--big", action="store_true",
                       help="the truncated divided-power system")
-    p_gb.add_argument("--bound", type=int, default=0,
+    p_gb.add_argument("--bound", type=_int_at_least(1),
                       help="divided-power bound (default p^m - 1)")
     p_gb.set_defaults(func=cmd_gb)
 

@@ -7,16 +7,23 @@ reduction the module provides overlap enumeration, critical-pair reducibility,
 completeness and reducedness certificates, subalphabet restriction, bounded
 irreducible-word enumeration, and a bounded completion loop.
 
-Reduction strategy (fixed so golden outputs are deterministic): rewrite the
-order-greatest reducible monomial at its leftmost redex, preferring the rule
-with the longest left-hand side, ties broken by rule index.  Normal forms are
-computed per word and memoized on the system; for complete systems the result
-is strategy-independent anyway.
+Reduction strategy (fixed so golden outputs are deterministic): the normal
+form of a word is built by its letters acting, right to left, on the empty
+word.  A letter x acts on an irreducible word v by rewriting x.v at position
+0 (the only place a redex can start), preferring the rule with the longest
+left-hand side, and letting every rhs word act in turn on the rest of v.
+The action of each letter on each irreducible word is memoized on the
+system, so the memo holds at most |alphabet| x |irreducible words reached|
+entries.  For complete systems the result is strategy-independent; for
+incomplete ones it is still an irreducible reduct of the input, though not
+necessarily the one another strategy would reach.  One-step reduction
+(``reduce_once``) rewrites the order-greatest reducible monomial at its
+leftmost redex, longest left-hand side first.
 """
 
 from __future__ import annotations
 
-import re
+import typing
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -152,8 +159,31 @@ class CompletenessCertificate:
         }
 
 
+def _add_scaled(acc: dict, terms: dict, coeff, p: int) -> None:
+    """acc += coeff * terms for char-string -> coefficient maps; p = 0 is the
+    rationals."""
+    for w, c in terms.items():
+        s = acc.get(w, 0) + coeff * c
+        if p:
+            s %= p
+        if s:
+            acc[w] = s
+        elif w in acc:
+            del acc[w]
+
+
+# yields the letter-action keys it needs, receives their values, returns a
+# char-string -> coefficient map
+_ActionSteps = typing.Generator[str, dict, dict]
+
+
 class RewriteSystem:
-    """An immutable set of rewriting rules with its order and alphabet."""
+    """A fixed set of rewriting rules with its order and alphabet.
+
+    The rules never change after construction; the normal-form memo (the
+    letter action) fills as normal forms are computed, so an instance is not
+    safe to share between threads.
+    """
 
     def __init__(self, rules: Sequence[RewriteRule], order: OrderSpec,
                  field: FieldSpec, alphabet: Sequence[Generator]):
@@ -161,37 +191,25 @@ class RewriteSystem:
         self.field = field
         self.alphabet = tuple(alphabet)
         self.rules = tuple(rules)
-        seen: set[str] = set()
-        for rule in self.rules:
+        # lhs chars -> rule index; redexes are found by slicing a word and
+        # looking the slice up, longest lhs length first
+        self._rule_index: dict[str, int] = {}
+        for i, rule in enumerate(self.rules):
             if rule.rhs.field != field:
                 raise RewriteSystemError("rule field does not match system")
-            if rule.lhs.chars in seen:
+            if rule.lhs.chars in self._rule_index:
                 raise RewriteSystemError(
                     f"duplicate left-hand side {rule.lhs}")
-            seen.add(rule.lhs.chars)
+            self._rule_index[rule.lhs.chars] = i
             lk = order.key(rule.lhs)
             for w in rule.rhs.terms:
                 if not order.key(w) < lk:
                     raise RewriteSystemError(
                         f"rule {rule} is not order-decreasing at {w}")
-        # compiled form: (lhs chars, lhs length, rhs items descending)
-        self._compiled = tuple(
-            (r.lhs.chars, len(r.lhs.chars),
-             tuple(sorted(((w.chars, c) for w, c in r.rhs.items()),
-                          key=lambda item: order.key(item[0]), reverse=True)))
-            for r in self.rules)
-        # redex search strategy (leftmost, longest lhs, lowest rule index)
-        # as one scan: alternation ordered by (-len, index); chunked to stay
-        # clear of the regex group limit
-        ranked = sorted(range(len(self.rules)),
-                        key=lambda i: (-self._compiled[i][1], i))
-        self._redex_chunks: list[tuple] = []
-        for base in range(0, len(ranked), 80):
-            block = ranked[base:base + 80]
-            pattern = "|".join(
-                f"(?P<g{i}>{re.escape(self._compiled[i][0])})" for i in block)
-            self._redex_chunks.append((re.compile(pattern), block))
-        self._nf_cache: dict[str, dict[str, object]] = {}
+        self._lhs_lengths = sorted({len(lhs) for lhs in self._rule_index},
+                                   reverse=True)
+        # x + v -> NF(x v) for a letter x and an irreducible word v
+        self._action: dict[str, dict[str, object]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -207,96 +225,101 @@ class RewriteSystem:
 
     # -- redex search --------------------------------------------------------
 
-    def _find_redex(self, chars: str) -> Optional[tuple[int, int]]:
-        """(position, rule index) of the leftmost redex, longest lhs first."""
-        best: Optional[tuple[int, int, int]] = None
-        for rx, block in self._redex_chunks:
-            m = rx.search(chars)
-            if m is not None:
-                idx = block[m.lastindex - 1]
-                cand = (m.start(), -self._compiled[idx][1], idx)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            return None
-        return best[0], best[2]
+    def _rule_at(self, chars: str, pos: int) -> Optional[tuple[int, int]]:
+        """(lhs length, rule index) of the longest lhs starting at pos."""
+        room = len(chars) - pos
+        for ln in self._lhs_lengths:
+            if ln <= room:
+                idx = self._rule_index.get(chars[pos:pos + ln])
+                if idx is not None:
+                    return ln, idx
+        return None
+
+    def _find_redex(self, chars: str) -> Optional[tuple[int, int, int]]:
+        """(position, lhs length, rule index) of the leftmost redex, longest
+        lhs first."""
+        for pos in range(len(chars)):
+            hit = self._rule_at(chars, pos)
+            if hit is not None:
+                return (pos,) + hit
+        return None
 
     def is_irreducible_word(self, w: Word) -> bool:
         return self._find_redex(w.chars) is None
 
     # -- normal forms ----------------------------------------------------------
 
-    def _nf_chars(self, start: str) -> dict[str, object]:
-        """Normal form of a single word, memoized.  Values are char-string ->
-        coefficient maps."""
-        cache = self._nf_cache
-        hit = cache.get(start)
-        if hit is not None:
-            return hit
-        fld = self.field
-        p = fld.characteristic
-        compiled = self._compiled
-        find_redex = self._find_redex
-        # pending: word -> (rhs coefficient list, child words), so the redex
-        # search runs once per word no matter how often the DFS revisits it
-        pending: dict[str, tuple] = {}
-        stack = [start]
-        while stack:
-            x = stack[-1]
-            if x in cache:
+    def _letters_steps(self, letters: str, terms: dict) -> _ActionSteps:
+        """letters . terms for a combination of irreducible words: the letters
+        act right to left through the memo, asking for missing entries."""
+        memo = self._action
+        p = self.field.characteristic
+        for x in reversed(letters):
+            out: dict[str, object] = {}
+            for v, c in terms.items():
+                key = x + v
+                image = memo.get(key)
+                if image is None:
+                    image = yield key
+                _add_scaled(out, image, c, p)
+            terms = out
+        return terms
+
+    def _head_steps(self, key: str) -> _ActionSteps:
+        """NF(key) for key = x + v with v irreducible: any redex starts at
+        position 0; each rhs word then acts on the rest of v."""
+        hit = self._rule_at(key, 0)
+        if hit is None:
+            return {key: self.field.coerce(1)}
+        ln, idx = hit
+        rest = key[ln:]
+        p = self.field.characteristic
+        out: dict[str, object] = {}
+        for t, c in self.rules[idx].rhs.items():
+            image = yield from self._letters_steps(t.chars, {rest: c})
+            _add_scaled(out, image, 1, p)
+        return out
+
+    def _left_multiply(self, letters: str, terms: dict) -> dict:
+        """NF(letters . terms) for a char-string -> coefficient map over
+        irreducible words.
+
+        Missing letter actions are computed on an explicit stack (each one
+        only needs strictly smaller words), so deep derivations use no
+        Python recursion.
+        """
+        memo = self._action
+        stack: list[tuple[Optional[str], _ActionSteps]] = [
+            (None, self._letters_steps(letters, terms))]
+        value = None
+        while True:
+            key, steps = stack[-1]
+            try:
+                need = steps.send(value)
+            except StopIteration as done:
+                value = done.value
                 stack.pop()
+                if key is None:
+                    return value
+                memo[key] = value
                 continue
-            info = pending.get(x)
-            if info is None:
-                red = find_redex(x)
-                if red is None:
-                    cache[x] = {x: fld.coerce(1)}
-                    stack.pop()
-                    continue
-                pos, idx = red
-                _, ln, rhs_items = compiled[idx]
-                u = x[:pos]
-                v = x[pos + ln:]
-                info = (rhs_items, tuple(u + t + v for t, _ in rhs_items))
-                pending[x] = info
-            rhs_items, children = info
-            missing = [c for c in children if c not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc: dict[str, object] = {}
-            for (t, coeff), child in zip(rhs_items, children):
-                for wm, cm in cache[child].items():
-                    s = acc.get(wm, 0) + coeff * cm
-                    if p:
-                        s %= p
-                    if s:
-                        acc[wm] = s
-                    elif wm in acc:
-                        del acc[wm]
-            cache[x] = acc
-            del pending[x]
-            stack.pop()
-        return cache[start]
+            value = None
+            stack.append((need, self._head_steps(need)))
+
+    def _nf_chars(self, chars: str) -> dict[str, object]:
+        """Normal form of a single word as a char-string -> coefficient map."""
+        return self._left_multiply(chars, {"": self.field.coerce(1)})
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """NF(f): exhaustive reduction; unique for complete systems."""
         if f.field != self.field:
             raise RewriteSystemError("polynomial field does not match system")
-        fld = self.field
-        p = fld.characteristic
+        p = self.field.characteristic
         acc: dict[str, object] = {}
         for w, c in f.items():
-            for wm, cm in self._nf_chars(w.chars).items():
-                s = acc.get(wm, 0) + c * cm
-                if p:
-                    s %= p
-                if s:
-                    acc[wm] = s
-                elif wm in acc:
-                    del acc[wm]
+            _add_scaled(acc, self._nf_chars(w.chars), c, p)
         return Polynomial({Word(chars): c for chars, c in acc.items()},
-                          fld, _clean=True)
+                          self.field, _clean=True)
 
     def normal_form_word(self, w: Word) -> Polynomial:
         return Polynomial({Word(chars): c
@@ -312,8 +335,7 @@ class RewriteSystem:
             red = self._find_redex(w.chars)
             if red is None:
                 continue
-            pos, idx = red
-            lhs, ln, _ = self._compiled[idx]
+            pos, ln, idx = red
             coeff = g.terms[w]
             u = Polynomial.monomial(Word(w.chars[:pos]), self.field)
             v = Polynomial.monomial(Word(w.chars[pos + ln:]), self.field)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from u3plus import FieldSpec, RewriteSystem, parse_poly
+from u3plus import AnickComplex, FieldSpec, RewriteSystem, parse_poly
 from u3plus.cli import main
 
 from conftest import system_for
@@ -149,3 +149,55 @@ class TestMinimalCommand:
         assert payload["smallness"] == {"d0": True, "d1": True, "d2": True}
         assert payload["ext_dims"]["1"] == {"0,1": 1, "1,0": 1}
         assert all(r["exact"] for r in payload["exactness_at_P1_prime"])
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv", [
+        ("anick", "--p", "2", "--m", "1", "--max-deg", "-3"),
+        ("minimal", "--p", "2", "--m", "1", "--max-deg", "-1"),
+        ("gb", "--p", "3", "--m", "1", "--big", "--bound", "-2"),
+        ("gb", "--p", "3", "--m", "1", "--big", "--bound", "0"),
+        ("nf", "--p", "3", "--m", "1", "--bound", "0", "ea(1)"),
+    ])
+    def test_out_of_range_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("gb", "--p", "3", "--m", "1", "--big", "--bound", "5"),
+        ("nf", "--p", "3", "--m", "1", "--bound", "5", "ea(1)"),
+    ])
+    def test_bound_not_p_power_minus_one(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: --bound: truncated bound")
+
+
+@pytest.mark.parametrize("argv", [
+    ("anick", "--p", "2", "--m", "1", "--max-deg", "8"),
+    ("minimal", "--p", "2", "--m", "1", "--max-deg", "8"),
+])
+def test_each_matrix_built_once(capsys, monkeypatch, argv):
+    """The report reuses the matrices the exactness certificates built."""
+    requested, built = [], []
+
+    def counted(log, method):
+        def wrapper(self, n, degree, source_chains=None, target_chains=None,
+                    dmap=None):
+            log.append((id(self), n, degree,
+                        None if source_chains is None else tuple(source_chains),
+                        None if target_chains is None else tuple(target_chains),
+                        dmap))
+            return method(self, n, degree, source_chains, target_chains, dmap)
+        return wrapper
+
+    monkeypatch.setattr(AnickComplex, "matrix",
+                        counted(requested, AnickComplex.matrix))
+    monkeypatch.setattr(AnickComplex, "_matrix",
+                        counted(built, AnickComplex._matrix))
+    code, _, _ = run(capsys, *argv, "--json", "-")
+    assert code == 0
+    assert len(built) == len(set(built)) == len(set(requested))
+    assert len(requested) > len(built)

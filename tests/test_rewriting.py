@@ -313,7 +313,9 @@ def _reduce_with_random_choices(f, system, rng):
     while True:
         redexes = []
         for chars in terms:
-            for idx, (lhs, ln, _) in enumerate(system._compiled):
+            for idx, rule in enumerate(system.rules):
+                lhs = rule.lhs.chars
+                ln = len(lhs)
                 start = 0
                 while True:
                     pos = chars.find(lhs, start)
@@ -325,8 +327,8 @@ def _reduce_with_random_choices(f, system, rng):
             break
         chars, pos, idx, ln = rng.choice(redexes)
         coeff = terms.pop(chars)
-        for t, c in system._compiled[idx][2]:
-            child = chars[:pos] + t + chars[pos + ln:]
+        for t, c in system.rules[idx].rhs.items():
+            child = chars[:pos] + t.chars + chars[pos + ln:]
             value = (terms.get(child, 0) + coeff * c) % p
             if value:
                 terms[child] = value
@@ -394,3 +396,76 @@ def test_dropping_rules_detected(g22):
             assert len(pruned.irreducible_words(12)) != 64
         else:
             assert not pruned.is_complete().complete, g22.rules[skip]
+
+
+# ---------------------------------------------------------------------------
+# normal forms by letter action against iterated single steps
+# ---------------------------------------------------------------------------
+
+NF_WEIGHT = 9
+_NF_SYSTEMS = {
+    "p2m2": lambda: system_for(2, 2),
+    "p3m1": lambda: system_for(3, 1),
+    "big-F2-1": lambda: big_rewrite_system(F2, 1, truncated=True),
+}
+_NF_SYSTEM_CACHE = {}
+
+
+def _nf_system(name):
+    if name not in _NF_SYSTEM_CACHE:
+        _NF_SYSTEM_CACHE[name] = _NF_SYSTEMS[name]()
+    return _NF_SYSTEM_CACHE[name]
+
+
+def _words_up_to(weight, draw_letters):
+    """The longest prefix of the drawn letters with total weight <= weight."""
+    out, total = [], 0
+    for g in draw_letters:
+        total += g.degree.norm
+        if total > weight:
+            break
+        out.append(g)
+    return Word.of(out)
+
+
+def _reduce_to_fixpoint(system, f):
+    while True:
+        stepped = system.reduce_once(f)
+        if stepped is None:
+            return f
+        f = stepped
+
+
+@pytest.mark.parametrize("name", sorted(_NF_SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_letter_action_matches_single_steps(name, data):
+    system = _nf_system(name)
+    letters = data.draw(st.lists(st.sampled_from(system.alphabet),
+                                 max_size=NF_WEIGHT))
+    w = _words_up_to(NF_WEIGHT, letters)
+    mono = Polynomial.monomial(w, system.field)
+    assert system.normal_form(mono) == _reduce_to_fixpoint(system, mono)
+    assert system.normal_form_word(w) == system.normal_form(mono)
+
+
+@pytest.mark.parametrize("name", sorted(_NF_SYSTEMS))
+def test_letter_action_memo_bound(name):
+    """The memo holds x + v for a letter x and an irreducible word v only, so
+    its size is at most |alphabet| x |irreducible words| of the weight
+    reached."""
+    base = _nf_system(name)
+    system = base.with_rules(base.rules)  # a fresh, empty memo
+    letters = [g.char for g in system.alphabet]
+    frontier = [""]
+    for _ in range(6):
+        frontier = [x + v for x in letters for v in frontier]
+    for chars in frontier:
+        system.normal_form_word(Word(chars))
+    keys = list(system._action)
+    assert keys
+    assert all(k[0] in letters and system.is_irreducible_word(Word(k[1:]))
+               for k in keys)
+    reached = max(Word(k).degree.norm for k in keys)
+    irreducible = system.irreducible_words(reached)
+    assert len(keys) <= len(system.alphabet) * len(irreducible)
