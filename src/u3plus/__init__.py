@@ -66,7 +66,6 @@ from .kostant import (
     evaluate_word,
     expand_in_small,
     lucas_binomial,
-    multiply_divided,
     relation_suite,
     small_generator,
     small_groebner_basis,
@@ -76,8 +75,6 @@ from .anick import (
     Chain,
     GradedMatrix,
     ModuleElement,
-    t1_set,
-    t2_set,
 )
 from .minimal import (
     FreeGradedModule,

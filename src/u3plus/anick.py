@@ -602,7 +602,9 @@ class AnickComplex:
         """The matrix of d_n (or of a supplied chain map) in one degree.
 
         Memoized: every caller of one (map, degree, source, target) gets the
-        same GradedMatrix, which therefore must never be mutated.
+        same GradedMatrix, which therefore must never be mutated.  A matrix
+        that is used once only is better built through :meth:`_matrix`, so
+        the memo does not keep it alive.
         """
         key = (n, degree,
                None if source_chains is None else tuple(source_chains),
@@ -653,7 +655,8 @@ class AnickComplex:
         for degree in self.relevant_degrees(deg_bound):
             dims = {level: self.module_dimension(level, degree)
                     for level in (-1, 0, 1, 2)}
-            r0 = self.matrix(0, degree).rank(self.field)
+            # d0 is ranked here only, so it is not kept in the memo
+            r0 = self._matrix(0, degree, None, None, None).rank(self.field)
             r1 = self.matrix(1, degree).rank(self.field)
             r2 = self.matrix(2, degree).rank(self.field)
             ker_eps = dims[-1] - (1 if degree == Degree(0, 0) else 0)
@@ -666,11 +669,3 @@ class AnickComplex:
                 exact_at_p1=(dims[1] - r1 == r2),
             ))
         return reports
-
-
-def t1_set(system: RewriteSystem) -> tuple[Chain, ...]:
-    return AnickComplex(system).t1
-
-
-def t2_set(system: RewriteSystem) -> tuple[Chain, ...]:
-    return AnickComplex(system).t2

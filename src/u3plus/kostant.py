@@ -39,6 +39,7 @@ from .free_algebra import (
     divided_generator,
     gen_a,
     gen_b,
+    generator_for_char,
     is_prime,
     small_window_alphabet,
 )
@@ -258,10 +259,6 @@ class KostantElement:
         return f"KostantElement({self})"
 
 
-def multiply_divided(u: KostantElement, v: KostantElement) -> KostantElement:
-    return u * v
-
-
 def divided_element(kind: str, k: int, field: FieldSpec) -> KostantElement:
     mono = {"ea": DividedMonomial(k, 0, 0),
             "eab": DividedMonomial(0, k, 0),
@@ -281,37 +278,88 @@ def small_generator(kind: str, k: int, p: int,
     raise ValueError(f"small generator kind must be 'a' or 'b', got {kind!r}")
 
 
-def evaluate_word(w: Word, field: FieldSpec) -> KostantElement:
-    """The evaluation homomorphism on monomials.
+def _letter_monomial(g: Generator) -> DividedMonomial:
+    """The basis monomial a letter evaluates to.
 
     a_k and b_k carry their divided power in their weight, so no prime is
     needed: a letter of weight (n, 0) maps to ea(n), one of weight (0, n) to
     eb(n), and divided letters map to their own basis monomials.
     """
-    result = KostantElement.one(field)
-    for g in w:
-        if g.kind == "a":
-            factor = KostantElement.basis(
-                DividedMonomial(g.degree.alpha, 0, 0), field)
-        elif g.kind == "b":
-            factor = KostantElement.basis(
-                DividedMonomial(0, 0, g.degree.beta), field)
-        elif g.kind == "ea":
-            factor = KostantElement.basis(DividedMonomial(g.index, 0, 0), field)
-        elif g.kind == "eab":
-            factor = KostantElement.basis(DividedMonomial(0, g.index, 0), field)
-        else:
-            factor = KostantElement.basis(DividedMonomial(0, 0, g.index), field)
-        result = result * factor
-    return result
+    if g.kind == "a":
+        return DividedMonomial(g.degree.alpha, 0, 0)
+    if g.kind == "b":
+        return DividedMonomial(0, 0, g.degree.beta)
+    if g.kind == "ea":
+        return DividedMonomial(g.index, 0, 0)
+    if g.kind == "eab":
+        return DividedMonomial(0, g.index, 0)
+    return DividedMonomial(0, 0, g.index)
+
+
+def _evaluate_terms(terms, field: FieldSpec) -> KostantElement:
+    """Sum of c * (value of w) over the (w, c) pairs of ``terms``.
+
+    Words are walked in the given order.  ``stack[i]`` is the value of the
+    first i letters of the previous word, so a word only multiplies out the
+    letters after the prefix it shares with its predecessor.  Letters are
+    applied on the right, one at a time, through a memo of basis-times-letter
+    products that lives for this call only.  A partial product of zero ends
+    its word (and every later word with that prefix): only the last stack
+    entry can be zero.
+    """
+    memo: dict[tuple[DividedMonomial, str], dict] = {}
+    out: dict[DividedMonomial, Coefficient] = {}
+    stack: list[dict] = [{UNIT_MONOMIAL: field.coerce(1)}]
+    prev = ""
+    for w, c in terms:
+        chars = w.chars
+        k, n = 0, min(len(stack) - 1, len(chars))
+        while k < n and chars[k] == prev[k]:
+            k += 1
+        del stack[k + 1:]
+        value = stack[k]
+        for x in chars[k:]:
+            if not value:
+                break
+            step: dict[DividedMonomial, Coefficient] = {}
+            for mono, a in value.items():
+                prod = memo.get((mono, x))
+                if prod is None:
+                    prod = memo[(mono, x)] = _mul_basis(
+                        mono, _letter_monomial(generator_for_char(x)), field)
+                for key, b in prod.items():
+                    s = field.add(step.get(key, 0), field.mul(a, b))
+                    if s:
+                        step[key] = s
+                    elif key in step:
+                        del step[key]
+            value = step
+            stack.append(value)
+        prev = chars
+        for mono, a in value.items():
+            s = field.add(out.get(mono, 0), field.mul(c, a))
+            if s:
+                out[mono] = s
+            elif mono in out:
+                del out[mono]
+    return KostantElement(out, field, _clean=True)
+
+
+def evaluate_word(w: Word, field: FieldSpec) -> KostantElement:
+    """The evaluation homomorphism on monomials: the product of the letters'
+    basis monomials (see :func:`_letter_monomial`), in the word's order."""
+    return _evaluate_terms(((w, field.coerce(1)),), field)
 
 
 def evaluate_poly(f: Polynomial) -> KostantElement:
-    """Linear extension of :func:`evaluate_word`."""
-    out = KostantElement.zero(f.field)
-    for w, c in f.items():
-        out = out + evaluate_word(w, f.field).scale(c)
-    return out
+    """Linear extension of :func:`evaluate_word`.
+
+    The terms are evaluated in their stored order, and a word reuses the
+    partial products of the prefix it shares with the previous word, so
+    polynomials whose words share long prefixes (such as products of
+    polynomials) cost far less than one product chain per word.
+    """
+    return _evaluate_terms(f.items(), f.field)
 
 
 # --------------------------------------------------------------------------
@@ -663,15 +711,12 @@ def dimension_check(win: Window) -> dict:
     bound = sum(4 * (win.p - 1) * win.p**k for k in win.indices)
     system = small_groebner_basis(win)
     words = system.irreducible_words(bound)
+    # PBW monomials ea(ka) eab(kab) eb(kb) with every exponent a multiple
+    # of p^j up to p^m - 1
     q = win.p**win.j
-    basis_count = 0
     top = win.p**win.m - 1
-    for ka in range(0, top + 1, q):
-        for kab in range(0, top + 1, q):
-            for kb in range(0, top + 1, q):
-                basis_count += 1
     return {
         "expected": expected,
-        "basis_count": basis_count,
+        "basis_count": (top // q + 1) ** 3,
         "irreducible_count": len(words),
     }

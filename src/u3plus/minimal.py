@@ -256,7 +256,8 @@ class MinimalResolution:
         reports = []
         for degree in cx.relevant_degrees(self.deg_bound):
             dim_p1p = len(cx.basis(1, degree, self.t1_prime_ext))
-            m1 = cx.matrix(1, degree, source_chains=self.t1_prime_ext)
+            # ranked here only, so it is not kept in the matrix memo
+            m1 = cx._matrix(1, degree, self.t1_prime_ext, None, None)
             m2 = cx.matrix(2, degree, source_chains=self.t2_prime_ext,
                            target_chains=self.t1_prime_ext,
                            dmap=self.d2_prime)

@@ -8,10 +8,13 @@ from u3plus import (
     DividedMonomial,
     FieldSpec,
     KostantElement,
+    Polynomial,
     QQ,
     Window,
+    Word,
     big_rewrite_system,
     dimension_check,
+    divided_alphabet,
     divided_element,
     evaluate_poly,
     evaluate_word,
@@ -300,3 +303,93 @@ def test_irreducible_words_have_independent_images(p, m):
                        key=lambda m_: m_.to_json())
         rows = [[int(img.coefficient(m_)) for img in images] for m_ in basis]
         assert _rank_mod_p(rows, p) == len(words), degree
+
+
+# ---------------------------------------------------------------------------
+# the evaluation core against the reference product
+# ---------------------------------------------------------------------------
+
+EVAL_ALPHABETS = {
+    "window p=2": Window(2, 0, 2).alphabet(),
+    "window p=3": Window(3, 0, 2).alphabet(),
+    "divided": divided_alphabet(3),
+}
+
+
+def letter_monomial(g):
+    """Written out again here, so the reference shares no code with the
+    evaluation under test."""
+    if g.kind == "a":
+        return DividedMonomial(g.degree.alpha, 0, 0)
+    if g.kind == "b":
+        return DividedMonomial(0, 0, g.degree.beta)
+    return {"ea": DividedMonomial(g.index, 0, 0),
+            "eab": DividedMonomial(0, g.index, 0),
+            "eb": DividedMonomial(0, 0, g.index)}[g.kind]
+
+
+def reference_value(f):
+    """Left-to-right product of basis factors with KostantElement.__mul__."""
+    total = KostantElement.zero(f.field)
+    for w, c in f.items():
+        value = KostantElement.one(f.field)
+        for g in w:
+            value = value * KostantElement.basis(letter_monomial(g), f.field)
+        total = total + value.scale(c)
+    return total
+
+
+@st.composite
+def shared_prefix_polys(draw):
+    """A polynomial whose words share prefixes, with pairs of terms that
+    cancel in the algebra (two commuting letters swapped, opposite
+    coefficients), in the insertion order the evaluation walks."""
+    alphabet = EVAL_ALPHABETS[draw(st.sampled_from(sorted(EVAL_ALPHABETS)))]
+    field = draw(st.sampled_from([F2, F3, QQ]))
+    letters = st.lists(st.sampled_from(alphabet), max_size=4)
+    stems = draw(st.lists(letters, min_size=1, max_size=3))
+    alpha_side = [g for g in alphabet if letter_monomial(g).k_alphabeta
+                  == letter_monomial(g).k_beta == 0]
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        stem = draw(st.sampled_from(stems))
+        tail = draw(letters)
+        c = draw(st.integers(-3, 3))
+        if draw(st.booleans()):
+            x, y = draw(st.sampled_from(alpha_side)), \
+                draw(st.sampled_from(alpha_side))
+            terms[Word.of(stem + [x, y] + tail)] = c
+            terms[Word.of(stem + [y, x] + tail)] = -c
+        else:
+            terms[Word.of(stem + tail)] = c
+    return Polynomial(terms, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=shared_prefix_polys())
+def test_evaluation_matches_reference_product(f):
+    assert evaluate_poly(f) == reference_value(f)
+    for w, _ in f.items():
+        assert evaluate_word(w, f.field) == \
+            reference_value(Polynomial.monomial(w, f.field))
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ])
+def test_evaluation_of_empty_word_and_zero(field):
+    assert evaluate_word(word(), field) == KostantElement.one(field)
+    assert evaluate_poly(Polynomial.one(field)) == KostantElement.one(field)
+    assert evaluate_poly(Polynomial.zero(field)).is_zero
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_evaluation_past_a_zero_prefix(p):
+    # a0^p vanishes, so every word through it is dropped; words that branch
+    # off before it still count
+    field = FieldSpec(p)
+    a, b = gen_a(0, p), gen_b(0, p)
+    dead = [a] * p + [b]
+    f = Polynomial({word(*dead): 1, word(*dead, a): 1, word(*[a] * (p - 1)): 1,
+                    word(*dead, b, b): 1, word(b, a): 1}, field)
+    assert evaluate_word(word(*dead), field).is_zero
+    assert evaluate_poly(f) == reference_value(f)
+    assert not evaluate_poly(f).is_zero
