@@ -17,13 +17,21 @@ builds:
 
 * degree-by-degree matrices of the differentials with exact rank checks that
   certify the complex is exact at P_0 and P_1 in every tested degree.
+
+Every image m.d_n(t) of a basis element, and m.f(t) for a supplied chain map
+f such as the surgered d'_2, is memoized on the complex, keyed by (n, t, f)
+and then by the word m.  A missing image x m'.d_n(t) is the letter x acting
+on the memoized image of its suffix m'.t, so each image costs one letter
+action, and the differentials, the splittings, the complex identities and
+the graded matrices all read the same images.  Graded matrices are stored
+sparsely, row by row, and ranked by one exact elimination
+(:func:`sparse_rank`) over F_p or the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .free_algebra import (
     Degree,
@@ -33,7 +41,7 @@ from .free_algebra import (
     Polynomial,
     Word,
 )
-from .rewriting import RewriteSystem, find_overlaps
+from .rewriting import RewriteSystem, _add_scaled, find_overlaps
 
 
 class ChainError(FreeAlgebraError):
@@ -162,10 +170,6 @@ class ModuleElement:
     def degrees(self) -> set[Degree]:
         return {m.degree + t.degree for (m, t) in self.terms}
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -187,93 +191,71 @@ class ModuleElement:
 # exact graded matrices
 # --------------------------------------------------------------------------
 
+# a module element grouped by chain: {chain: {word chars: coefficient}}
+_Grouped = dict[Chain, dict[str, object]]
+
+
+def _grouped(elt: ModuleElement) -> _Grouped:
+    out: _Grouped = {}
+    for (w, t), c in elt.items():
+        out.setdefault(t, {})[w.chars] = c
+    return out
+
 
 @dataclass
 class GradedMatrix:
     """The matrix of one differential in one degree, over the exact field.
 
-    Instances are shared through ``AnickComplex.matrix``'s memo: read them,
-    never mutate them (``rank`` works on a copy).
+    Each row lists its (column index, nonzero coefficient) pairs in
+    increasing column order.  Instances are shared through
+    ``AnickComplex.matrix``'s memo: read them, never mutate them.
     """
 
     degree: Degree
     row_labels: list[tuple[Word, Chain]]
     col_labels: list[tuple[Word, Chain]]
-    entries: list[list]  # rows x cols
+    entries: list[list[tuple[int, object]]]
 
     def rank(self, field: FieldSpec) -> int:
-        if field.characteristic:
-            return _rank_mod_p([row[:] for row in self.entries],
-                               field.characteristic)
-        return _rank_exact([[Fraction(x) for x in row]
-                            for row in self.entries])
+        return sparse_rank(self.entries, field)
 
     def to_json(self) -> dict:
-        cells = []
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if x:
-                    cells.append([i, j, str(x)])
         return {
             "degree": [self.degree.alpha, self.degree.beta],
             "rows": [[str(m), str(t.word)] for m, t in self.row_labels],
             "cols": [[str(m), str(t.word)] for m, t in self.col_labels],
-            "entries": cells,
+            "entries": [[i, j, str(x)] for i, row in enumerate(self.entries)
+                        for j, x in row],
         }
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    import numpy as np  # only F_p ranks need it; keeps it off import time
+def sparse_rank(rows: Iterable[Iterable[tuple[int, object]]],
+                field: FieldSpec) -> int:
+    """Rank of the matrix whose rows are (column, coefficient) pairs, by
+    exact elimination over the field: residues mod p, or Fractions.
 
-    a = np.array(rows, dtype=np.int64) % p
-    n_rows, n_cols = a.shape
-    rank = 0
-    for col in range(n_cols):
-        pivots = np.nonzero(a[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = rank + int(pivots[0])
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = (a[rank] * inv) % p
-        hits = np.nonzero(a[:, col])[0]
-        for i in hits:
-            if i != rank:
-                a[i] = (a[i] - a[i, col] * a[rank]) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def _rank_exact(rows: list[list[Fraction]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(rank, n_rows):
-            if rows[i][col]:
-                pivot = i
+    Each row is reduced at its leading (smallest) column against the pivot
+    row of that column until it vanishes or reaches a column with no pivot
+    yet, whose pivot it then becomes.
+    """
+    p = field.characteristic
+    coerce = field.coerce
+    pivots: dict[int, dict[int, object]] = {}
+    for row in rows:
+        vec = {}
+        for j, c in row:
+            c = coerce(c)
+            if c:
+                vec[j] = c
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = field.invert(vec[lead])
+                pivots[lead] = {j: field.mul(c, inv) for j, c in vec.items()}
                 break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(n_rows):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+            _add_scaled(vec, pivot, field.neg(vec[lead]), p)
+    return len(pivots)
 
 
 # --------------------------------------------------------------------------
@@ -324,6 +306,9 @@ class AnickComplex:
         self.t2 = self._build_t2()
         self._t2_by_chars = {c.word.chars: c for c in self.t2}
         self._d_memo: dict[tuple[int, Chain], ModuleElement] = {}
+        # (n, chain, dmap) -> m chars -> m.d_n(t) or m.dmap(t), grouped;
+        # the key "" holds the image of .t itself
+        self._images: dict[tuple, dict[str, _Grouped]] = {}
         self._matrix_memo: dict[tuple, GradedMatrix] = {}
         self._words_bound = -1
         self._words_by_degree: dict[Degree, list[Word]] = {}
@@ -413,7 +398,12 @@ class AnickComplex:
         return out
 
     def module_dimension(self, level: int, degree: Degree) -> int:
-        return len(self.basis(level, degree))
+        total = 0
+        for t in self.chains(level):
+            rest = degree - t.degree
+            if rest.alpha >= 0 and rest.beta >= 0:
+                total += len(self.irreducible_of_degree(rest))
+        return total
 
     # -- the maps -------------------------------------------------------------
 
@@ -423,12 +413,9 @@ class AnickComplex:
         chars = m.chars if isinstance(m, Word) else m
         if not chars:
             return elt
-        by_chain: dict[Chain, dict[str, object]] = {}
-        for (w, t), c in elt.items():
-            by_chain.setdefault(t, {})[w.chars] = c
         left_multiply = self.system._left_multiply
         out: dict[tuple[Word, Chain], object] = {}
-        for t, terms in by_chain.items():
+        for t, terms in _grouped(elt).items():
             for chars2, c2 in left_multiply(chars, terms).items():
                 out[(Word(chars2), t)] = c2
         return ModuleElement(elt.level, out, self.field, _clean=True)
@@ -438,12 +425,6 @@ class AnickComplex:
         for w, c in f.items():
             out = out + self.act(w, elt).scale(c)
         return out
-
-    def epsilon(self, elt: ModuleElement):
-        """The augmentation on P_{-1}: the coefficient of e.e."""
-        if elt.level != -1:
-            raise ValueError("augmentation applies to level -1")
-        return elt.coefficient(EMPTY_WORD, self.e_chain)
 
     def delta(self, n: int, m: Word, chain: Chain) -> ModuleElement:
         """delta_n on the basis element m.t."""
@@ -507,14 +488,53 @@ class AnickComplex:
         self._d_memo[key] = result
         return result
 
+    def _image(self, n: int, chain: Chain, m: str,
+               dmap: Optional[Callable[[Chain], ModuleElement]] = None
+               ) -> _Grouped:
+        """m.d_n(t), or m.dmap(t), grouped by chain; memoized, read only.
+
+        A missing image x m'.t is the letter x acting on the image of m'.t;
+        the memo fills from the longest suffix of m it already holds.
+        """
+        key = (n, chain, dmap)
+        images = self._images.get(key)
+        if images is None:
+            base = self.d_chain(n, chain) if dmap is None else dmap(chain)
+            images = self._images[key] = {"": _grouped(base)}
+        image = images.get(m)
+        if image is not None:
+            return image
+        i = 1
+        while m[i:] not in images:
+            i += 1
+        image = images[m[i:]]
+        left_multiply = self.system._left_multiply
+        for k in range(i - 1, -1, -1):
+            image = {t: acted for t, terms in image.items()
+                     if (acted := left_multiply(m[k], terms))}
+            images[m[k:]] = image
+        return image
+
+    def _apply(self, n: int, elt: _Grouped) -> _Grouped:
+        """d_n of a grouped element of P_n, grouped."""
+        p = self.field.characteristic
+        out: _Grouped = {}
+        for t, terms in elt.items():
+            for m, c in terms.items():
+                for tt, image in self._image(n, t, m).items():
+                    _add_scaled(out.setdefault(tt, {}), image, c, p)
+        return {tt: terms for tt, terms in out.items() if terms}
+
+    def _element(self, level: int, elt: _Grouped) -> ModuleElement:
+        return ModuleElement(
+            level, {(Word(w), t): c for t, terms in elt.items()
+                    for w, c in terms.items()}, self.field, _clean=True)
+
     def d(self, n: int, elt: ModuleElement) -> ModuleElement:
         """The differential extended module-linearly."""
         if elt.level != n:
             raise ValueError(f"element of level {elt.level} fed to d_{n}")
-        out = ModuleElement.zero(n - 1, self.field)
-        for (m, t), c in elt.items():
-            out = out + self.act(m, self.d_chain(n, t)).scale(c)
-        return out
+        return self._element(n - 1, self._apply(n, _grouped(elt)))
 
     def leading_basis_term(self, elt: ModuleElement):
         return max(elt.terms.items(), key=lambda kv: self.pair_key(*kv[0]))
@@ -562,7 +582,8 @@ class AnickComplex:
             image = image.scale(c)
             result = result + image
             ((jm, jt), jc), = image.items()
-            work = work - self.act(jm, self.d_chain(n, jt)).scale(jc)
+            work = work - self._element(
+                n - 1, self._image(n, jt, jm.chars)).scale(jc)
         return result
 
     # -- certificates -----------------------------------------------------------
@@ -572,6 +593,7 @@ class AnickComplex:
         total weight <= deg_bound."""
         failures = []
         counts = {"eps_d0": 0, "d0_d1": 0, "d1_d2": 0}
+        e_chain = self.e_chain
         for level, name in ((0, "eps_d0"), (1, "d0_d1"), (2, "d1_d2")):
             for t in self.chains(level):
                 room = deg_bound - t.degree.norm
@@ -583,12 +605,11 @@ class AnickComplex:
                         continue
                     for m in words:
                         counts[name] += 1
-                        elt = ModuleElement.basis(m, t, self.field)
-                        image = self.d(level, elt)
-                        if level == 0:
-                            ok = self.epsilon(image) == 0
+                        image = self._image(level, t, m.chars)
+                        if level == 0:  # the augmentation: coefficient of e.e
+                            ok = not image.get(e_chain, {}).get("")
                         else:
-                            ok = self.d(level - 1, image).is_zero
+                            ok = not self._apply(level - 1, image)
                         if not ok:
                             failures.append((name, str(m), str(t.word)))
         return {"checked": counts, "failures": failures,
@@ -623,14 +644,15 @@ class AnickComplex:
                 ) -> GradedMatrix:
         cols = self.basis(n, degree, source_chains)
         rows = self.basis(n - 1, degree, target_chains)
-        index = {(m.chars, t): i for i, (m, t) in enumerate(rows)}
-        zero = 0 if self.field.characteristic else Fraction(0)
-        entries = [[zero] * len(cols) for _ in rows]
+        index: dict[Chain, dict[str, int]] = {}
+        for i, (m, t) in enumerate(rows):
+            index.setdefault(t, {})[m.chars] = i
+        entries: list[list[tuple[int, object]]] = [[] for _ in rows]
         for jcol, (m, t) in enumerate(cols):
-            image = self.act(m, self.d_chain(n, t) if dmap is None
-                             else dmap(t))
-            for (w, tt), c in image.items():
-                entries[index[(w.chars, tt)]][jcol] = c
+            for tt, terms in self._image(n, t, m.chars, dmap).items():
+                row_of = index[tt]
+                for w, c in terms.items():
+                    entries[row_of[w]].append((jcol, c))
         return GradedMatrix(degree, rows, cols, entries)
 
     def relevant_degrees(self, deg_bound: int) -> list[Degree]:

@@ -44,10 +44,6 @@ class Degree(NamedTuple):
         """Total weight: the image under alpha, beta -> 1."""
         return self.alpha + self.beta
 
-    def dominates(self, other: "Degree") -> bool:
-        """Componentwise >=."""
-        return self.alpha >= other.alpha and self.beta >= other.beta
-
     def __str__(self) -> str:
         return f"{self.alpha}a+{self.beta}b"
 
@@ -444,12 +440,6 @@ class OrderSpec:
             return Comparison.GT
         return Comparison.EQ
 
-    def max_word(self, words) -> Word:
-        return max(words, key=self.key)
-
-    def sorted_desc(self, words) -> list:
-        return sorted(words, key=self.key, reverse=True)
-
     def __repr__(self) -> str:
         if self.variant == "deglex":
             return f"OrderSpec.deglex({'<'.join(g.token for g in self.ranking)})"
@@ -600,10 +590,6 @@ class Polynomial:
 
     def degrees(self) -> set[Degree]:
         return {w.degree for w in self.terms}
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def __str__(self) -> str:
         return format_poly(self)

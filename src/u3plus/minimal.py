@@ -34,7 +34,13 @@ from .free_algebra import (
     FreeAlgebraError,
     Word,
 )
-from .anick import AnickComplex, Chain, GradedMatrix, ModuleElement
+from .anick import (
+    AnickComplex,
+    Chain,
+    ChainError,
+    GradedMatrix,
+    ModuleElement,
+)
 from .kostant import Window, small_groebner_basis
 
 
@@ -74,6 +80,14 @@ def _braid_word(win: Window, k: int) -> Word:
 
 def _excluded_t2_word(win: Window, k: int) -> Word:
     return Word.of([win.a(k + 1)] + [win.b(k)] * win.p)
+
+
+def _t2_chain(cx: AnickComplex, w: Word, error: type, why: str) -> Chain:
+    """The 2-chain with word w, or the given error when T_2 lacks it."""
+    chain = cx._t2_by_chars.get(w.chars)
+    if chain is None:
+        raise error(f"{w} is not a 2-chain of the window basis; {why}")
+    return chain
 
 
 def reduced_chain_sets(cx: AnickComplex, win: Window
@@ -180,8 +194,10 @@ class MinimalResolution:
                 self._braid_chain[k] = self.cx._t1_by_chars[w.chars]
         self._substitute_chain = {}
         for k in range(self.ext_window.j, self.ext_window.m - 1):
-            w = _excluded_t2_word(self.ext_window, k)
-            self._substitute_chain[k] = self.cx._t2_by_chars[w.chars]
+            self._substitute_chain[k] = _t2_chain(
+                self.cx, _excluded_t2_word(self.ext_window, k),
+                WindowTooSmallError,
+                f"the braid of index {k} has no substitute source")
         self._d2p_memo: dict[Chain, ModuleElement] = {}
 
     @staticmethod
@@ -229,9 +245,6 @@ class MinimalResolution:
             f = f + cx.act_poly(r_k.scale(factor), boundary)
         self._d2p_memo[chain] = f
         return f
-
-    def d1_restricted(self, elt: ModuleElement) -> ModuleElement:
-        return self.cx.d(1, elt)
 
     # -- certificates ------------------------------------------------------------
 
@@ -376,7 +389,8 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
                  Word.of([ext.a(k + 1)] + [b] * p), field.neg(sign_p)),
                 (f"d2(.b{k + 1}*a{k}^p)",
                  Word.of([ext.b(k + 1)] + [a] * p), minus_one)):
-            chain = cx._t2_by_chars[src_word.chars]
+            chain = _t2_chain(cx, src_word, ChainError,
+                              f"the lemma {name} needs it")
             image = cx.d_chain(2, chain)
             got = _module_coefficient(image, EMPTY_WORD, braid)
             checks.append(CoefficientCheck(

@@ -410,7 +410,14 @@ class RewriteSystem:
 
     def irreducible_words(self, deg_bound: int) -> list[Word]:
         """All words of total weight <= deg_bound with no lhs factor."""
-        lhs_chars = [r.lhs.chars for r in self.rules]
+        # extending an irreducible word by a letter can only create a redex
+        # that ends in that letter
+        lhs_by_last: dict[str, list[str]] = {}
+        for r in self.rules:
+            lhs = r.lhs.chars
+            # an empty lhs is a suffix of every word
+            for last in lhs[-1:] or "".join(g.char for g in self.alphabet):
+                lhs_by_last.setdefault(last, []).append(lhs)
         out: list[Word] = []
         letters = [(g.char, g.degree.norm) for g in self.alphabet]
 
@@ -420,7 +427,7 @@ class RewriteSystem:
                 if norm + dn > deg_bound:
                     continue
                 cand = chars + ch
-                if any(cand.endswith(l) for l in lhs_chars):
+                if any(cand.endswith(l) for l in lhs_by_last.get(ch, ())):
                     continue
                 extend(cand, norm + dn)
 

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from u3plus import (
     Degree,
@@ -8,14 +11,17 @@ from u3plus import (
     OrderSpec,
     Polynomial,
     RewriteSystem,
+    Window,
     Word,
     gen_a,
     gen_b,
     parse_poly,
+    small_groebner_basis,
     small_window_alphabet,
     word,
 )
-from u3plus.anick import AnickComplex, GradedMatrix, SplittingError, _rank_mod_p
+from u3plus.minimal import MinimalResolution
+from u3plus.anick import AnickComplex, GradedMatrix, SplittingError, sparse_rank
 
 from conftest import complex_for
 
@@ -434,6 +440,16 @@ class TestComplexAndExactness:
                 keys = [cx22.pair_key(m, t) for m, t in basis]
                 assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("p,bound", [(2, 8), (3, 12)])
+    def test_module_dimension_counts_basis(self, p, bound):
+        cx = complex_for(p, 1)
+        for total in range(bound + 1):
+            for alpha in range(total + 1):
+                degree = Degree(alpha, total - alpha)
+                for level in (-1, 0, 1, 2):
+                    assert cx.module_dimension(level, degree) == len(
+                        cx.basis(level, degree)), (level, degree)
+
     def test_requires_reduced_system(self):
         alphabet = small_window_alphabet(2, 0, 1)
         order = OrderSpec.deglex(alphabet)
@@ -446,16 +462,21 @@ class TestComplexAndExactness:
             AnickComplex(system)
 
 
+def sparse_rows(dense):
+    """Dense rows as (column, coefficient) pairs of the nonzero entries."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in dense]
+
+
 class TestGradedMatrix:
     def test_rank_mod_p(self):
-        assert _rank_mod_p([[1, 2], [2, 4]], 5) == 1
-        assert _rank_mod_p([[1, 2], [2, 4]], 3) == 1
-        assert _rank_mod_p([[1, 1], [1, 2]], 2) == 2
-        assert _rank_mod_p([], 3) == 0
+        assert sparse_rank(sparse_rows([[1, 2], [2, 4]]), FieldSpec(5)) == 1
+        assert sparse_rank(sparse_rows([[1, 2], [2, 4]]), FieldSpec(3)) == 1
+        assert sparse_rank(sparse_rows([[1, 1], [1, 2]]), FieldSpec(2)) == 2
+        assert sparse_rank([], FieldSpec(3)) == 0
 
     def test_rank_char_zero(self):
         mat = GradedMatrix(Degree(0, 0), [None] * 2, [None] * 2,
-                           [[1, 2], [2, 4]])
+                           sparse_rows([[1, 2], [2, 4]]))
         assert mat.rank(FieldSpec(0)) == 1
 
     def test_json_shape(self, cx21):
@@ -463,3 +484,109 @@ class TestGradedMatrix:
         payload = mat.to_json()
         assert payload["degree"] == [2, 0]
         assert all(len(cell) == 3 for cell in payload["entries"])
+
+    def test_rows_are_sparse_and_column_ordered(self, cx31):
+        for degree in cx31.relevant_degrees(12):
+            for level in (0, 1, 2):
+                mat = cx31._matrix(level, degree, None, None, None)
+                for row in mat.entries:
+                    cols = [j for j, _ in row]
+                    assert cols == sorted(set(cols))
+                    assert all(c for _, c in row)
+                    assert all(0 <= j < len(mat.col_labels) for j in cols)
+
+    def test_rank_degenerate_shapes(self):
+        for field in (FieldSpec(5), FieldSpec(0)):
+            assert sparse_rank([], field) == 0
+            assert sparse_rank([[], []], field) == 0
+            # 5 vanishes in F_5 only
+            assert sparse_rank(sparse_rows([[0, 0, 0], [0, 5, 0]]),
+                               field) == (0 if field.characteristic else 1)
+
+
+def dense_rank(rows, field):
+    """Reference rank: dense Gauss-Jordan elimination, Fractions over Q and
+    residues over F_p."""
+    rows = [[field.coerce(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.invert(rows[rank][col])
+        rows[rank] = [field.mul(x, inv) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [field.add(x, field.neg(field.mul(f, y)))
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def dense_matrices(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=7))
+    n_cols = draw(st.integers(min_value=0, max_value=7))
+    entry = st.one_of(st.just(0), st.integers(min_value=-6, max_value=6),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=4))
+    return [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense=dense_matrices(), p=st.sampled_from([2, 3, 5, 0]),
+       copies=st.integers(min_value=0, max_value=2))
+def test_sparse_rank_matches_dense_reference(dense, p, copies):
+    field = FieldSpec(p)
+    if p:
+        # residues only: a fraction's denominator may vanish mod p
+        dense = [[int(x) for x in row] for row in dense]
+    # repeated rows and multiples of rows must not raise the rank
+    dense = dense + [[3 * x for x in row] for row in dense[:copies]]
+    coerced = [[field.coerce(x) for x in row] for row in dense]
+    assert sparse_rank(sparse_rows(coerced), field) == dense_rank(dense,
+                                                                  field)
+
+
+@pytest.mark.parametrize("p,bound", [(2, 8), (3, 12)])
+def test_memoized_images_match_action(p, bound):
+    """m.d_n(t) read from the image memo equals act(m, d_chain(n, t)) on an
+    independent complex, for every basis element up to the bound."""
+    cx = AnickComplex(small_groebner_basis(Window(p, 0, 1)))
+    ref = AnickComplex(small_groebner_basis(Window(p, 0, 1)))
+    words = sorted(ref.system.irreducible_words(bound), key=len, reverse=True)
+    checked = 0
+    for n in (0, 1, 2):
+        for t in ref.chains(n):
+            for m in words:
+                if m.degree.norm + t.degree.norm > bound:
+                    continue
+                # longest words first, so their suffixes fill on the way
+                got = cx._element(n - 1, cx._image(n, t, m.chars))
+                assert got == ref.act(m, ref.d_chain(n, t)), (n, t, m)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("p,bound", [(2, 8), (3, 12)])
+def test_memoized_chain_map_images_match_action(p, bound):
+    """Images under d'_2 and under d_2 of the same chain are kept apart."""
+    res = MinimalResolution(Window(p, 0, 1), bound)
+    cx = res.cx
+    words = sorted(cx.system.irreducible_words(bound), key=len, reverse=True)
+    surgered = 0
+    for t in res.t2_prime_ext:
+        if t.degree.norm > bound:
+            continue
+        surgered += res.d2_prime(t) != cx.d_chain(2, t)
+        for m in words:
+            if m.degree.norm + t.degree.norm > bound:
+                continue
+            got = cx._element(1, cx._image(2, t, m.chars))
+            assert got == cx.act(m, cx.d_chain(2, t)), (t, m)
+            got = cx._element(1, cx._image(2, t, m.chars, res.d2_prime))
+            assert got == cx.act(m, res.d2_prime(t)), (t, m)
+    assert surgered

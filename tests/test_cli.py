@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +212,34 @@ def test_each_matrix_built_once(capsys, monkeypatch, argv):
     assert single_use
     assert all(n == 0 or (n == 1 and source is not None)
                for _, n, _, source, _, _ in single_use)
+
+
+WORKLOADS = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                        / "workloads.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_small_workload_report_digest(capsys, tmp_path, name):
+    """The shrunken benchmark commands reproduce their recorded reports
+    byte for byte."""
+    spec = WORKLOADS[name]["small"]
+    target = tmp_path / "report.json"
+    code, _, _ = run(capsys, *spec["argv"], "--json", str(target))
+    assert code == spec["status"]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == spec["sha256"]
+
+
+@pytest.mark.parametrize("name", ["anick-p3m2-d20", "minimal-p3m1-d24"])
+def test_small_run_does_not_import_numpy(tmp_path, name):
+    argv = WORKLOADS[name]["small"]["argv"] + ["--json",
+                                              str(tmp_path / "r.json")]
+    script = ("import sys\n"
+              "from u3plus.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split()[-2:] == ["0", "False"]

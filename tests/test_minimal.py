@@ -19,6 +19,7 @@ from u3plus import (
     reduced_chain_sets,
     word,
 )
+from u3plus.anick import AnickComplex, ChainError
 from u3plus.minimal import MinimalResolution, WindowTooSmallError
 
 
@@ -119,6 +120,16 @@ class TestD2Prime:
         with pytest.raises(WindowTooSmallError):
             res.d2_prime(needs_braid)
 
+    def test_missing_substitute_chain_is_typed(self, monkeypatch):
+        # a T_2 without a substitute source a_{k+1} b_k^p is reported as a
+        # window error, not as a raw KeyError
+        build = AnickComplex._build_t2
+        dropped = W2(("a", 1), ("b", 0), ("b", 0)).chars
+        monkeypatch.setattr(AnickComplex, "_build_t2", lambda cx: tuple(
+            c for c in build(cx) if c.word.chars != dropped))
+        with pytest.raises(WindowTooSmallError, match="substitute source"):
+            MinimalResolution(Window(2, 0, 1), 8)
+
     def test_module_map_export(self):
         mapping = d2_prime(Window(2, 0, 1), 6)
         assert {str(c.word) for c in mapping} == {
@@ -154,6 +165,14 @@ class TestCoefficientChecks:
         assert got.actual == str(field.coerce(-1))
         got = checks["NF(b1*a0^(p-1)) at (b0*a0)^(p-1)*b0"]
         assert got.actual == str(field.coerce(1))
+
+    def test_missing_lemma_chain_is_typed(self, monkeypatch):
+        build = AnickComplex._build_t2
+        dropped = W2(("b", 1), ("a", 0), ("a", 0)).chars
+        monkeypatch.setattr(AnickComplex, "_build_t2", lambda cx: tuple(
+            c for c in build(cx) if c.word.chars != dropped))
+        with pytest.raises(ChainError, match="is not a 2-chain"):
+            coefficient_lemma_checks(Window(2, 0, 1))
 
     def test_larger_chain_words_never_hit(self):
         # equal weight, T1 word above the source: coefficient always zero

@@ -9,6 +9,7 @@ from u3plus import (
     OrderSpec,
     Polynomial,
     QQ,
+    RewriteRule,
     RewriteSystem,
     Word,
     complete,
@@ -259,8 +260,28 @@ class TestIrreducibleWords:
         assert [str(w) for w in system.irreducible_words(2)] == [
             "1", "a0", "a0*a0"]
 
+    def test_empty_lhs_leaves_only_the_empty_word(self):
+        alphabet = (A0, B0)
+        system = RewriteSystem(
+            [RewriteRule(EMPTY_WORD, Polynomial.zero(F2))],
+            OrderSpec.deglex(alphabet), F2, alphabet)
+        assert system.irreducible_words(3) == [EMPTY_WORD]
+
     def test_g31_count(self, g31):
         assert len(g31.irreducible_words(16)) == 27
+
+    @pytest.mark.parametrize("p,m,bound", [(2, 2, 8), (3, 1, 10)])
+    def test_equals_brute_force_filter(self, p, m, bound):
+        system = system_for(p, m)
+        letters = [(g.char, g.degree.norm) for g in system.alphabet]
+        every = [("", 0)]
+        for chars, norm in every:
+            every.extend((chars + ch, norm + dn) for ch, dn in letters
+                         if norm + dn <= bound)
+        expected = sorted((Word(chars) for chars, _ in every
+                           if system.is_irreducible_word(Word(chars))),
+                          key=system.order.key)
+        assert system.irreducible_words(bound) == expected
 
 
 class TestCompletion:
