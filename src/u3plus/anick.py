@@ -551,17 +551,12 @@ class AnickComplex:
             raise ValueError(f"element of level {f.level} fed to i_{n}")
         field = self.field
         if n == 0:
+            # distinct words m.e split into distinct u.x, so nothing adds up
             out: dict[tuple[Word, Chain], object] = {}
-            for (m, t), c in f.items():
+            for (m, _e), c in f.items():
                 if m.is_empty:
                     raise SplittingError("element is not in ker(augmentation)")
-                x = self._t0_by_char[m.chars[-1]]
-                key = (Word(m.chars[:-1]), x)
-                s = field.add(out.get(key, 0), c)
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                out[(Word(m.chars[:-1]), self._t0_by_char[m.chars[-1]])] = c
             return ModuleElement(0, out, field, _clean=True)
         budget = 16
         for d in f.degrees():

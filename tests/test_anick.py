@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +18,8 @@ from u3plus import (
     small_window_alphabet,
     word,
 )
-from u3plus.minimal import MinimalResolution
 from u3plus.anick import AnickComplex, GradedMatrix, SplittingError, sparse_rank
+from u3plus.minimal import MinimalResolution
 
 from conftest import complex_for
 
