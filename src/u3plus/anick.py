@@ -65,6 +65,14 @@ class Chain:
     u: Optional[Word] = None
     right_lhs: Optional[Word] = None
 
+    def __post_init__(self):
+        # chains key every memo, so hash once; equal chains share level
+        # and word, so this agrees with the field-wise equality
+        object.__setattr__(self, "_hash", hash((self.level, self.word.chars)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def degree(self) -> Degree:
         return self.word.degree
@@ -377,29 +385,36 @@ class AnickComplex:
         return self._words_by_degree.get(degree, [])
 
     def pair_key(self, m: Word, chain: Chain):
-        """Basis order on m.t via the word mt; ties broken by t then m."""
+        """Basis order on m.t via the word mt, ties broken by t (which with
+        mt determines m)."""
         key = self.order.key
-        return (key(m.chars + chain.word.chars), key(chain.word.chars),
-                key(m.chars))
+        return key(m.chars + chain.word.chars), key(chain.word.chars)
 
     def basis(self, level: int, degree: Degree,
               chain_set: Optional[Sequence[Chain]] = None
               ) -> list[tuple[Word, Chain]]:
-        """The K-basis of (P_level)_degree, sorted descending."""
+        """The K-basis of (P_level)_degree, sorted descending by
+        :meth:`pair_key`."""
         chains = self.chains(level) if chain_set is None else chain_set
+        key = self.order.key
+        chain_key: dict[Chain, tuple] = {}
         out: list[tuple[Word, Chain]] = []
         for t in chains:
             rest = degree - t.degree
             if rest.alpha < 0 or rest.beta < 0:
                 continue
+            chain_key[t] = key(t.word.chars)
             for m in self.irreducible_of_degree(rest):
                 out.append((m, t))
-        out.sort(key=lambda mt: self.pair_key(*mt), reverse=True)
+        out.sort(key=lambda mt: (key(mt[0].chars + mt[1].word.chars),
+                                 chain_key[mt[1]]), reverse=True)
         return out
 
-    def module_dimension(self, level: int, degree: Degree) -> int:
+    def module_dimension(self, level: int, degree: Degree,
+                         chain_set: Optional[Sequence[Chain]] = None) -> int:
+        """dim (P_level)_degree, over chain_set when given."""
         total = 0
-        for t in self.chains(level):
+        for t in self.chains(level) if chain_set is None else chain_set:
             rest = degree - t.degree
             if rest.alpha >= 0 and rest.beta >= 0:
                 total += len(self.irreducible_of_degree(rest))

@@ -35,7 +35,7 @@ from .kostant import (
     relation_suite,
     small_groebner_basis,
 )
-from .anick import AnickComplex
+from .anick import AnickComplex, GradedMatrix
 from .minimal import MinimalResolution, coefficient_lemma_checks
 
 
@@ -73,17 +73,30 @@ def _big_system(field, args, win: Window, truncated: bool):
         raise UsageError(f"--bound: {exc}") from exc
 
 
+def _encode_matrix(o):
+    """json ``default`` hook: a GradedMatrix is encoded only when the
+    encoder reaches it, so one matrix's cell lists are alive at a time."""
+    if isinstance(o, GradedMatrix):
+        return o.to_json()
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, text: str, args) -> None:
+    """Stream the report to its destination, then print the text summary."""
     if args.json:
-        rendered = json.dumps(payload, indent=2, sort_keys=True)
         if args.json == "-":
-            print(rendered)
+            _dump(payload, sys.stdout)
         else:
             with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(rendered + "\n")
+                _dump(payload, fh)
             print(f"wrote {args.json}")
     if text and args.json != "-":
         print(text)
+
+
+def _dump(payload: dict, fh) -> None:
+    json.dump(payload, fh, indent=2, sort_keys=True, default=_encode_matrix)
+    fh.write("\n")
 
 
 def cmd_nf(args) -> int:
@@ -162,12 +175,9 @@ def cmd_anick(args) -> int:
     bound = args.max_deg
     complex_report = cx.complex_check(bound)
     exactness = cx.exactness_check(bound)
-    matrices = {}
-    for level in (1, 2):
-        matrices[f"d{level}"] = [
-            cx.matrix(level, degree).to_json()
-            for degree in cx.relevant_degrees(bound)
-        ]
+    degrees = cx.relevant_degrees(bound)
+    matrices = {f"d{level}": [cx.matrix(level, degree) for degree in degrees]
+                for level in (1, 2)}
     ok = complex_report["ok"] and all(r.ok for r in exactness)
     payload = {
         "t1": [list(c.word.tokens) for c in cx.t1],
@@ -203,7 +213,7 @@ def cmd_minimal(args) -> int:
     payload = report.to_json()
     payload["t1_prime"] = [list(c.word.tokens) for c in resolution.t1_prime]
     payload["t2_prime"] = [list(c.word.tokens) for c in resolution.t2_prime]
-    payload["d2_prime"] = [m.to_json() for m in resolution.d2_prime_matrices()]
+    payload["d2_prime"] = resolution.d2_prime_matrices()
     lines = [
         f"T1' ({len(resolution.t1_prime)}): "
         + ", ".join(str(c.word) for c in resolution.t1_prime),
@@ -233,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, required=True, help="prime")
         p.add_argument("--m", type=int, required=True,
                        help="window size (indices j..m-1)")
-        p.add_argument("--j", type=int, default=0, help="window start")
+        p.add_argument("--j", type=_int_at_least(0), default=0,
+                       help="window start")
         p.add_argument("--json", metavar="PATH",
                        help="write a JSON report (- for stdout)")
         if max_deg:

@@ -71,6 +71,10 @@ class EmptyPolynomialError(FreeAlgebraError):
     """Leading-term extraction was attempted on the zero polynomial."""
 
 
+class CoefficientError(FreeAlgebraError):
+    """A rational coefficient has no image in the field F_p."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -100,6 +104,8 @@ _DIVIDED_KINDS = ("ea", "eab", "eb")
 _CHAR_BASE = 0x100
 _BY_CHAR: list["Generator"] = []
 _INTERN: dict[tuple, "Generator"] = {}
+# ord(char) -> token + "*", so Word.__str__ is one str.translate
+_STR_TABLE: dict[int, str] = {}
 
 
 class Generator:
@@ -127,6 +133,7 @@ class Generator:
         self.degree = degree
         self.char = chr(_CHAR_BASE + len(_BY_CHAR))
         _BY_CHAR.append(self)
+        _STR_TABLE[ord(self.char)] = self.token + "*"
         _INTERN[key] = self
         return self
 
@@ -274,7 +281,7 @@ class Word:
         return Word(self.chars * n)
 
     def __str__(self) -> str:
-        return "*".join(self.tokens) if self.chars else "1"
+        return self.chars.translate(_STR_TABLE)[:-1] if self.chars else "1"
 
     def __repr__(self) -> str:
         return f"Word({str(self)})"
@@ -312,8 +319,17 @@ class FieldSpec:
         return self.characteristic != 0
 
     def coerce(self, value) -> Coefficient:
-        if self.characteristic:
-            return int(value) % self.characteristic
+        p = self.characteristic
+        if p:
+            if type(value) is int:
+                return value % p
+            if isinstance(value, Fraction):
+                if value.denominator % p == 0:
+                    raise CoefficientError(
+                        f"{value} has no residue mod {p}: its denominator "
+                        f"is divisible by {p}")
+                return value.numerator * pow(value.denominator, -1, p) % p
+            return int(value) % p
         if isinstance(value, Fraction):
             return value
         return Fraction(value)
@@ -699,7 +715,10 @@ class _Parser:
                 den = self.next()
                 if den[0] != "int":
                     raise ParseError("expected denominator", den[2])
-                coeff = Fraction(coeff, int(den[1]))
+                denominator = int(den[1])
+                if not denominator:
+                    raise ParseError("zero denominator", den[2])
+                coeff = Fraction(coeff, denominator)
                 nxt = self.peek()
             if nxt is None or nxt[0] != "star":
                 return coeff, EMPTY_WORD

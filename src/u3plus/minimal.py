@@ -268,7 +268,7 @@ class MinimalResolution:
         cx = self.cx
         reports = []
         for degree in cx.relevant_degrees(self.deg_bound):
-            dim_p1p = len(cx.basis(1, degree, self.t1_prime_ext))
+            dim_p1p = cx.module_dimension(1, degree, self.t1_prime_ext)
             # ranked here only, so it is not kept in the matrix memo
             m1 = cx._matrix(1, degree, self.t1_prime_ext, None, None)
             m2 = cx.matrix(2, degree, source_chains=self.t2_prime_ext,

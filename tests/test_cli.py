@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from u3plus import AnickComplex, FieldSpec, RewriteSystem, parse_poly
+from u3plus import AnickComplex, FieldSpec, GradedMatrix, RewriteSystem, \
+    parse_poly
+from u3plus import cli
 from u3plus.cli import main
 
 from conftest import system_for
@@ -57,6 +59,29 @@ class TestNf:
         code, _, err = run(capsys, "nf", "--p", "2", "--m", "1", "--j", "1",
                            "a0")
         assert code == 2
+
+    @pytest.mark.parametrize("p,fraction,integer", [
+        ("3", "1/2*a0", "2*a0"),
+        ("5", "3/2*a0", "4*a0"),
+    ])
+    def test_fraction_coefficient_mod_p(self, capsys, p, fraction, integer):
+        code, out, _ = run(capsys, "nf", "--p", p, "--m", "1", fraction)
+        assert code == 0
+        _, expected, _ = run(capsys, "nf", "--p", p, "--m", "1", integer)
+        assert out == expected
+        assert out.strip() not in ("0", "a0")
+
+    def test_denominator_divisible_by_p(self, capsys):
+        code, out, err = run(capsys, "nf", "--p", "3", "--m", "1", "1/3*a0")
+        assert code == 2
+        assert err.startswith("error: 1/3 has no residue mod 3")
+        assert not out
+
+    def test_zero_denominator(self, capsys):
+        code, _, err = run(capsys, "nf", "--p", "3", "--m", "1", "--char0",
+                           "1/0*ea(1)")
+        assert code == 2
+        assert err.startswith("error: zero denominator")
 
 
 class TestGb:
@@ -163,6 +188,8 @@ class TestInputValidation:
         ("gb", "--p", "3", "--m", "1", "--big", "--bound", "-2"),
         ("gb", "--p", "3", "--m", "1", "--big", "--bound", "0"),
         ("nf", "--p", "3", "--m", "1", "--bound", "0", "ea(1)"),
+        ("nf", "--p", "3", "--m", "1", "--j", "-1", "a0"),
+        ("anick", "--p", "2", "--m", "1", "--j", "-1"),
     ])
     def test_out_of_range_flag_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -227,6 +254,67 @@ def test_small_workload_report_digest(capsys, tmp_path, name):
     code, _, _ = run(capsys, *spec["argv"], "--json", str(target))
     assert code == spec["status"]
     assert hashlib.sha256(target.read_bytes()).hexdigest() == spec["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_stdout_report_equals_file_report(capsys, tmp_path, name):
+    spec = WORKLOADS[name]["small"]
+    target = tmp_path / "report.json"
+    run(capsys, *spec["argv"], "--json", str(target))
+    code, out, _ = run(capsys, *spec["argv"], "--json", "-")
+    assert code == spec["status"]
+    assert out.encode("utf-8") == target.read_bytes()
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (("anick", "--p", "2", "--m", "1", "--max-deg", "8"), ("d1", "d2")),
+    (("minimal", "--p", "2", "--m", "1", "--max-deg", "8"), ("d2_prime",)),
+])
+def test_reports_hand_over_matrices_unencoded(capsys, monkeypatch, argv,
+                                              keys):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit",
+                        lambda payload, text, args: payloads.append(payload))
+    assert run(capsys, *argv)[0] == 0
+    (payload,) = payloads
+    for key in keys:
+        assert payload[key]
+        assert all(type(m) is GradedMatrix for m in payload[key])
+
+
+def test_matrices_encoded_one_at_a_time(monkeypatch, cx21):
+    """Each matrix is encoded only after everything before it was written."""
+    matrices = [cx21.matrix(2, d) for d in cx21.relevant_degrees(8)]
+    expected = json.dumps({"m": [m.to_json() for m in matrices]}, indent=2,
+                          sort_keys=True) + "\n"
+
+    class Recorder:
+        def __init__(self):
+            self.chunks = []
+
+        def write(self, chunk):
+            self.chunks.append(chunk)
+
+    fh = Recorder()
+    written_at_encode = []
+    to_json = GradedMatrix.to_json
+
+    def recording(self):
+        written_at_encode.append(len("".join(fh.chunks)))
+        return to_json(self)
+
+    monkeypatch.setattr(GradedMatrix, "to_json", recording)
+    cli._dump({"m": matrices}, fh)
+    assert "".join(fh.chunks) == expected
+    assert len(written_at_encode) == len(matrices) > 1
+    assert written_at_encode == sorted(set(written_at_encode))
+
+
+def test_encoder_hook_rejects_foreign_objects():
+    with pytest.raises(TypeError):
+        cli._encode_matrix(object())
+    with pytest.raises(TypeError):
+        json.dumps({"x": {1, 2}}, default=cli._encode_matrix)
 
 
 @pytest.mark.parametrize("name", ["anick-p3m2-d20", "minimal-p3m1-d24"])

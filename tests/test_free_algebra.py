@@ -24,7 +24,12 @@ from u3plus import (
     small_window_alphabet,
     word,
 )
-from u3plus.free_algebra import EmptyPolynomialError, OrderDomainError
+from u3plus.free_algebra import (
+    _INTERN,
+    CoefficientError,
+    EmptyPolynomialError,
+    OrderDomainError,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -189,6 +194,41 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_poly("a0", QQ)
 
+    @pytest.mark.parametrize("field", [QQ, F3])
+    def test_zero_denominator(self, field):
+        with pytest.raises(ParseError) as err:
+            parse_poly("1/0*ea(1)", field)
+        assert "zero denominator" in str(err.value)
+
+
+class TestCoerce:
+    @pytest.mark.parametrize("p,value,residue", [
+        (3, Fraction(1, 2), 2),
+        (5, Fraction(3, 2), 4),
+        (5, Fraction(-3, 2), 1),
+        (2, Fraction(6, 3), 0),
+        (7, -1, 6),
+        (7, True, 1),
+    ])
+    def test_residue(self, p, value, residue):
+        assert FieldSpec(p).coerce(value) == residue
+
+    @pytest.mark.parametrize("p,value", [(3, Fraction(1, 3)),
+                                         (5, Fraction(2, 25))])
+    def test_denominator_divisible_by_p(self, p, value):
+        with pytest.raises(CoefficientError):
+            FieldSpec(p).coerce(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from((2, 3, 5, 7)),
+           num=st.integers(-50, 50), den=st.integers(1, 50))
+    def test_fraction_times_denominator_is_numerator(self, p, num, den):
+        if den % p == 0:
+            return
+        x = FieldSpec(p).coerce(Fraction(num, den))
+        assert 0 <= x < p
+        assert (x * den - num) % p == 0
+
 
 # ---------------------------------------------------------------------------
 # order axioms, property-based
@@ -241,6 +281,28 @@ class TestOrderAxioms:
     def test_empty_word_least(self, order, words, data):
         w = data.draw(words)
         assert order.compare(EMPTY_WORD, w) is not Comparison.GT
+
+
+STR_LETTERS = (st.sampled_from(small_window_alphabet(2, 0, 3)
+                               + small_window_alphabet(3, 0, 3))
+               | st.builds(divided_generator,
+                           st.sampled_from(("ea", "eab", "eb")),
+                           st.integers(1, 200)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(STR_LETTERS, max_size=8))
+def test_word_str_joins_tokens(letters):
+    w = Word.of(letters)
+    assert str(w) == ("*".join(w.tokens) if letters else "1")
+
+
+def test_word_str_covers_generators_interned_later():
+    k = 97
+    while any(key[:2] == ("ea", k) for key in _INTERN):
+        k += 1
+    g = ea(k)  # interned only now, after Word.__str__ has been used
+    assert str(word(g, A0, g)) == f"ea({k})*a0*ea({k})"
 
 
 def _all_divided_words_bounded(norm_bound, index_bound):
