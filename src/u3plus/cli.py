@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .free_algebra import (
@@ -73,30 +75,95 @@ def _big_system(field, args, win: Window, truncated: bool):
         raise UsageError(f"--bound: {exc}") from exc
 
 
-def _encode_matrix(o):
-    """json ``default`` hook: a GradedMatrix is encoded only when the
-    encoder reaches it, so one matrix's cell lists are alive at a time."""
-    if isinstance(o, GradedMatrix):
-        return o.to_json()
-    raise TypeError(f"{type(o).__name__} is not JSON serializable")
-
-
 def _emit(payload: dict, text: str, args) -> None:
     """Stream the report to its destination, then print the text summary."""
     if args.json:
-        if args.json == "-":
-            _dump(payload, sys.stdout)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _dump(payload, fh)
+        try:
+            if args.json == "-":
+                _dump(payload, sys.stdout)
+            else:
+                with open(args.json, "w", encoding="utf-8") as fh:
+                    _dump(payload, fh)
+        except OSError as exc:
+            raise UsageError(f"cannot write report {args.json}: "
+                             f"{exc.strerror or exc}") from exc
+        if args.json != "-":
             print(f"wrote {args.json}")
     if text and args.json != "-":
         print(text)
 
 
+# A matrix of a report sits at depth 2 (a dict in a top-level list): its keys
+# are indented by 6 spaces, its cells and labels by 8, their items by 10.
+# Each cell or label carries the separator before it; the first drops its
+# comma.
+_P1, _P2, _P3 = " " * 6, " " * 8, " " * 10
+_CELL = f",\n{_P2}[\n{_P3}%d,\n{_P3}%d,\n{_P3}%s\n{_P2}]"
+_LABEL = f",\n{_P2}[\n{_P3}%s,\n{_P3}%s\n{_P2}]"
+
+
+def _indented(value, pad: str) -> str:
+    """``json.dumps(indent=2)`` text of value nested at the depth of pad.
+    ensure_ascii escapes every newline inside strings, so only the
+    structural ones are replaced."""
+    text = json.dumps(value, indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + pad)
+
+
+def _matrix_text(mat: GradedMatrix, lead: str) -> str:
+    """lead, then the indented text of ``mat.to_json()`` as an item of a
+    top-level list, built with one join."""
+    quote = encode_basestring_ascii
+    parts = [lead, "{"]
+    sep = "\n"
+    for key, value in sorted(mat.to_json().items()):
+        parts.append(f"{sep}{_P1}{quote(key)}: ")
+        sep = ",\n"
+        if key == "entries":
+            items = [_CELL % (i, j, quote(c)) for i, j, c in value]
+        elif key in ("rows", "cols"):
+            items = [_LABEL % (quote(m), quote(t)) for m, t in value]
+        else:
+            parts.append(_indented(value, _P1))
+            continue
+        if items:
+            items[0] = items[0][1:]
+            parts += ["[", *items, f"\n{_P1}]"]
+        else:
+            parts.append("[]")
+    parts.append("\n    }")
+    return "".join(parts)
+
+
 def _dump(payload: dict, fh) -> None:
-    json.dump(payload, fh, indent=2, sort_keys=True, default=_encode_matrix)
-    fh.write("\n")
+    """Write exactly ``json.dumps(payload, indent=2, sort_keys=True)`` plus a
+    newline, one top-level value, and one item of a top-level list, at a
+    time.  The payload's keys are strings.
+
+    A GradedMatrix item is turned into ``to_json`` form as it is reached and
+    its cells and labels are filled into fixed templates.  Every other value
+    goes through ``json.dumps``, which raises TypeError for a matrix found
+    anywhere else.
+    """
+    if not payload:
+        fh.write("{}\n")
+        return
+    lead = "{\n  "
+    for key in sorted(payload):
+        value = payload[key]
+        fh.write(f"{lead}{encode_basestring_ascii(key)}: ")
+        lead = ",\n  "
+        if isinstance(value, list) and value:
+            sep = "[\n    "
+            for item in value:
+                fh.write(_matrix_text(item, sep)
+                         if isinstance(item, GradedMatrix)
+                         else sep + _indented(item, "    "))
+                sep = ",\n    "
+            fh.write("\n  ]")
+        else:
+            fh.write(_indented(value, "  "))
+    fh.write("\n}\n")
 
 
 def cmd_nf(args) -> int:
@@ -289,6 +356,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.json and args.json != "-":
+            parent = os.path.dirname(os.path.abspath(args.json))
+            if not os.path.isdir(parent):
+                raise UsageError(f"--json: directory {parent} does not exist")
         return args.func(args)
     except (UsageError, FreeAlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)

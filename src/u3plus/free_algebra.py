@@ -241,7 +241,11 @@ class Word:
         return cls("".join(g.char for g in letters))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.chars + other.chars)
+        # Degrees add, so the product's letters are not recounted.
+        w = object.__new__(Word)
+        object.__setattr__(w, "chars", self.chars + other.chars)
+        object.__setattr__(w, "degree", self.degree + other.degree)
+        return w
 
     def __len__(self) -> int:
         return len(self.chars)
@@ -566,7 +570,7 @@ class Polynomial:
         out: dict[Word, Coefficient] = {}
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                w = Word(u.chars + v.chars)
+                w = u * v
                 s = field.add(out.get(w, 0), field.mul(cu, cv))
                 if s:
                     out[w] = s

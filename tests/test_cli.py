@@ -1,18 +1,23 @@
+import errno
+import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from u3plus import AnickComplex, FieldSpec, GradedMatrix, RewriteSystem, \
     parse_poly
 from u3plus import cli
 from u3plus.cli import main
 
-from conftest import system_for
+from conftest import complex_for, system_for
 
 
 def run(capsys, *argv):
@@ -310,11 +315,125 @@ def test_matrices_encoded_one_at_a_time(monkeypatch, cx21):
     assert written_at_encode == sorted(set(written_at_encode))
 
 
-def test_encoder_hook_rejects_foreign_objects():
-    with pytest.raises(TypeError):
-        cli._encode_matrix(object())
-    with pytest.raises(TypeError):
-        json.dumps({"x": {1, 2}}, default=cli._encode_matrix)
+def test_dump_rejects_foreign_objects(cx21):
+    mat = cx21.matrix(2, cx21.relevant_degrees(8)[-1])
+    for payload in ({"x": object()}, {"x": {"y": {1, 2}}},
+                    {"x": [mat, object()]}, {"x": [object(), mat]},
+                    {"x": {"y": [mat]}}):
+        with pytest.raises(TypeError):
+            cli._dump(payload, io.StringIO())
+
+
+@functools.cache
+def _report_matrices():
+    """Real matrices of the (2,1) and (3,1) complexes, many without entries,
+    plus one with labels but no entries and one with char-0 coefficients."""
+    out = []
+    for p, bound in ((2, 8), (3, 12)):
+        cx = complex_for(p, 1)
+        out += [cx.matrix(n, d) for n in (1, 2)
+                for d in cx.relevant_degrees(bound)]
+    wide = next(m for m in out if m.row_labels and len(m.col_labels) > 1)
+    blank = [[] for _ in wide.row_labels]
+    out.append(GradedMatrix(wide.degree, wide.row_labels, wide.col_labels,
+                            blank))
+    out.append(GradedMatrix(wide.degree, wide.row_labels, wide.col_labels,
+                            [[(0, Fraction(-3, 4)), (1, -2)]] + blank[1:]))
+    return out
+
+
+_TRICKY = st.sampled_from(["", '"', "\\", "\n", 'a"b\\c\nd', "\u00e9",
+                           "\u2124/p", "\U0001d53d\t\x00"])
+_KEYS = st.text(max_size=6) | _TRICKY
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8) | _TRICKY,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_KEYS, inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _reference(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=GradedMatrix.to_json) + "\n"
+
+
+def _dumped(payload) -> str:
+    fh = io.StringIO()
+    cli._dump(payload, fh)
+    return fh.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_dump_equals_indented_json(data):
+    """_dump writes the bytes of json.dumps(indent=2, sort_keys=True) with
+    every matrix of a top-level list replaced by its to_json()."""
+    matrices = _report_matrices()
+    item = st.sampled_from(matrices) | _JSON_VALUES
+    value = _JSON_VALUES | st.lists(item, min_size=1, max_size=4)
+    payload = data.draw(st.dictionaries(_KEYS, value, max_size=5))
+    assert _dumped(payload) == _reference(payload)
+
+
+def test_dump_writes_every_matrix_like_json():
+    payload = {"d": _report_matrices(), "empty": [], "ok": True}
+    assert _dumped(payload) == _reference(payload)
+    assert _dumped({}) == "{}\n"
+
+
+@pytest.mark.parametrize("name", ["minimal-p3m1-d24", "anick-p3m2-d20"])
+def test_full_workload_report_digest(capsys, tmp_path, name):
+    """The full benchmark reports, whose matrices are large, are unchanged
+    byte for byte."""
+    spec = WORKLOADS[name]
+    target = tmp_path / "report.json"
+    code, _, _ = run(capsys, *spec["argv"], "--json", str(target))
+    assert code == spec["status"]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == spec["sha256"]
+
+
+class TestReportOutput:
+    def test_missing_directory_rejected_before_computing(self, capsys,
+                                                         monkeypatch,
+                                                         tmp_path):
+        def computed(args):
+            raise AssertionError("computed before checking --json")
+
+        monkeypatch.setattr(cli, "cmd_gb", computed)
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run(capsys, "gb", "--p", "2", "--m", "1", "--big",
+                           "--bound", "3", "--json", str(target))
+        assert code == 2
+        assert err.startswith("error: --json: directory")
+        assert not target.parent.exists()
+
+    def test_open_failure_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "gb", "--p", "2", "--m", "1",
+                           "--json", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error: cannot write report {tmp_path}: ")
+
+    def test_write_failure_is_a_usage_error(self, capsys, monkeypatch,
+                                            tmp_path):
+        def full(payload, fh):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_dump", full)
+        target = tmp_path / "x.json"
+        code, _, err = run(capsys, "gb", "--p", "2", "--m", "1",
+                           "--json", str(target))
+        assert code == 2
+        assert err == (f"error: cannot write report {target}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+
+    def test_failed_run_leaves_existing_report(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        target.write_text("old", encoding="utf-8")
+        code, _, _ = run(capsys, "gb", "--p", "3", "--m", "1", "--big",
+                         "--bound", "5", "--json", str(target))
+        assert code == 2
+        assert target.read_text(encoding="utf-8") == "old"
 
 
 @pytest.mark.parametrize("name", ["anick-p3m2-d20", "minimal-p3m1-d24"])

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from u3plus import (
     Comparison,
@@ -295,6 +295,16 @@ STR_LETTERS = (st.sampled_from(small_window_alphabet(2, 0, 3)
 def test_word_str_joins_tokens(letters):
     w = Word.of(letters)
     assert str(w) == ("*".join(w.tokens) if letters else "1")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(STR_LETTERS, max_size=6), st.lists(STR_LETTERS, max_size=6))
+@example([], [])
+def test_word_product_degree_matches_recount(left, right):
+    u, v = Word.of(left), Word.of(right)
+    recounted = Word(u.chars + v.chars)
+    assert u * v == recounted
+    assert (u * v).degree == recounted.degree
 
 
 def test_word_str_covers_generators_interned_later():
