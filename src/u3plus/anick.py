@@ -38,10 +38,12 @@ from .free_algebra import (
     EMPTY_WORD,
     FieldSpec,
     FreeAlgebraError,
+    LinearCombination,
     Polynomial,
     Word,
+    _add_scaled,
 )
-from .rewriting import RewriteSystem, _add_scaled, find_overlaps
+from .rewriting import RewriteSystem, find_overlaps
 
 
 class ChainError(FreeAlgebraError):
@@ -87,30 +89,15 @@ class Chain:
         return f"Chain(level={self.level}, {self.word})"
 
 
-class ModuleElement:
+class ModuleElement(LinearCombination):
     """Finitely supported combination of basis elements m.t of one P_n."""
 
-    __slots__ = ("level", "terms", "field")
+    __slots__ = ("level",)
 
     def __init__(self, level: int, terms: dict, field: FieldSpec,
                  *, _clean: bool = False):
-        if not _clean:
-            clean: dict[tuple[Word, Chain], object] = {}
-            for key, c in terms.items():
-                c = field.coerce(c)
-                if key in clean:
-                    c = field.add(clean[key], c)
-                if c:
-                    clean[key] = c
-                elif key in clean:
-                    del clean[key]
-            terms = clean
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):  # pragma: no cover - safety net
-        raise AttributeError("ModuleElement is immutable")
+        super().__init__(terms, field, _clean=_clean)
 
     @classmethod
     def zero(cls, level: int, field: FieldSpec) -> "ModuleElement":
@@ -121,50 +108,18 @@ class ModuleElement:
               coeff=1) -> "ModuleElement":
         return cls(chain.level, {(m, chain): coeff}, field)
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
+    def _like(self, terms: dict) -> "ModuleElement":
+        return ModuleElement(self.level, terms, self.field, _clean=True)
+
+    def _check(self, other: "ModuleElement") -> None:
         if self.level != other.level or self.field != other.field:
             raise ValueError("module element mismatch")
-        field = self.field
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = field.add(out.get(key, 0), c)
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return ModuleElement(self.level, out, field, _clean=True)
-
-    def __neg__(self) -> "ModuleElement":
-        field = self.field
-        return ModuleElement(
-            self.level, {k: field.neg(c) for k, c in self.terms.items()},
-            field, _clean=True)
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
-
-    def scale(self, coeff) -> "ModuleElement":
-        field = self.field
-        coeff = field.coerce(coeff)
-        if not coeff:
-            return ModuleElement.zero(self.level, field)
-        return ModuleElement(
-            self.level, {k: field.mul(c, coeff) for k, c in self.terms.items()},
-            field, _clean=True)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ModuleElement) and self.level == other.level
-                and self.field == other.field and self.terms == other.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
+        return super().__eq__(other) and self.level == other.level
 
     def coefficient(self, m: Word, chain: Chain):
-        return self.terms.get((m, chain), self.field.coerce(0))
+        return super().coefficient((m, chain))
 
     def chain_coefficient(self, chain: Chain) -> Polynomial:
         """The algebra coefficient of the coordinate .chain."""

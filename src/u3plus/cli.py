@@ -67,8 +67,12 @@ def _window(args) -> Window:
     return Window(args.p, args.j, args.m)
 
 
+def _bound(args, win: Window) -> int:
+    return args.bound if args.bound is not None else win.p**win.m - 1
+
+
 def _big_system(field, args, win: Window, truncated: bool):
-    bound = args.bound if args.bound is not None else win.p**win.m - 1
+    bound = _bound(args, win)
     try:
         return big_rewrite_system(field, bound, truncated=truncated)
     except ValueError as exc:
@@ -166,6 +170,29 @@ def _dump(payload: dict, fh) -> None:
     fh.write("\n}\n")
 
 
+def _check_nf_bound(poly, bound: int, truncated: bool) -> None:
+    """Refuse divided words the system on indices <= bound cannot reduce.
+
+    The truncated system is exact on its own letters.  The untruncated one
+    has only the merges that stay inside the bound, and every letter of the
+    normal form of a word of weight (alpha, beta) has index at most
+    max(alpha, beta).
+    """
+    if truncated:
+        for w in poly.terms:
+            for g in w:
+                if g.index > bound:
+                    raise UsageError(
+                        f"letter {g.token} is outside the truncated system "
+                        f"on indices <= {bound}")
+        return
+    need = max(max(w.degree) for w in poly.terms)
+    if need > bound:
+        raise UsageError(
+            f"--bound {bound} is too small for this expression: its terms "
+            f"need --bound {need}")
+
+
 def cmd_nf(args) -> int:
     win = _window(args)
     field = QQ if args.char0 else win.field
@@ -181,6 +208,7 @@ def cmd_nf(args) -> int:
         system = small_groebner_basis(win)
     else:
         system = _big_system(field, args, win, truncated=not args.char0)
+        _check_nf_bound(poly, _bound(args, win), truncated=not args.char0)
     result = system.normal_form(poly)
     rendered = format_poly(result, system.order)
     _emit({"input": args.expression, "normal_form": rendered}, rendered, args)

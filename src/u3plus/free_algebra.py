@@ -13,6 +13,8 @@ order used here artinian.
 
 Coefficients are exact: residues for characteristic ``p`` and
 :class:`fractions.Fraction` in characteristic zero.  No floats anywhere.
+Polynomials, and the module and PBW elements of the layers above, are all
+:class:`LinearCombination` maps, accumulated by one routine, ``_add_scaled``.
 
 All values are immutable after construction and all operations are pure, so
 everything in this module can be shared freely between threads.
@@ -487,39 +489,111 @@ def phi_map(w: Word) -> Word:
 
 
 # --------------------------------------------------------------------------
-# polynomials
+# sparse linear combinations
 # --------------------------------------------------------------------------
 
 
-class Polynomial:
-    """Finitely supported map Word -> nonzero coefficient over a FieldSpec."""
+def _add_scaled(acc: dict, terms: dict, coeff, p: int) -> None:
+    """acc += coeff * terms for key -> coefficient maps, dropping the keys
+    that cancel; p is the characteristic, 0 for the rationals."""
+    for w, c in terms.items():
+        s = acc.get(w, 0) + coeff * c
+        if p:
+            s %= p
+        if s:
+            acc[w] = s
+        elif w in acc:
+            del acc[w]
+
+
+class LinearCombination:
+    """Finitely supported map key -> nonzero coefficient over a FieldSpec.
+
+    The keys are words (:class:`Polynomial`), basis elements m.t of a free
+    module (``anick.ModuleElement``) or PBW monomials
+    (``kostant.KostantElement``).  Instances are immutable; every operation
+    returns a new element of the same kind.  ``_clean=True`` promises that
+    the coefficients are already reduced and nonzero.
+    """
 
     __slots__ = ("terms", "field")
 
-    terms: dict[Word, Coefficient]
+    terms: dict
     field: FieldSpec
 
     def __init__(self, terms: dict, field: FieldSpec, *, _clean: bool = False):
         if not _clean:
-            clean: dict[Word, Coefficient] = {}
-            for w, c in terms.items():
-                c = field.coerce(c)
-                if w in clean:
-                    c = field.add(clean[w], c)
-                if c:
-                    clean[w] = c
-                elif w in clean:
-                    del clean[w]
-            terms = clean
+            coerce = field.coerce
+            terms = {k: v for k, c in terms.items() if (v := coerce(c))}
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "field", field)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
-        raise AttributeError("Polynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, field: FieldSpec) -> "Polynomial":
+    def zero(cls, field: FieldSpec):
         return cls({}, field, _clean=True)
+
+    def _like(self, terms: dict):
+        """An element of the same kind over clean terms."""
+        return type(self)(terms, self.field, _clean=True)
+
+    def _check(self, other: "LinearCombination") -> None:
+        if self.field != other.field:
+            raise ValueError(
+                f"field mismatch: {self.field} vs {other.field}")
+
+    def _plus(self, other: "LinearCombination", sign: int):
+        self._check(other)
+        out = dict(self.terms)
+        _add_scaled(out, other.terms, sign, self.field.characteristic)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, coeff):
+        out: dict = {}
+        _add_scaled(out, self.terms, self.field.coerce(coeff),
+                    self.field.characteristic)
+        return self._like(out)
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self) and self.field == other.field
+                and self.terms == other.terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key) -> Coefficient:
+        return self.terms.get(key, self.field.coerce(0))
+
+    def items(self):
+        return self.terms.items()
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def degrees(self) -> set[Degree]:
+        return {k.degree for k in self.terms}
+
+
+class Polynomial(LinearCombination):
+    """Finitely supported map Word -> nonzero coefficient over a FieldSpec."""
+
+    __slots__ = ()
+
+    # bound in this class's own namespace so that the span tracer of
+    # perfbench/spans.py, which wraps vars(Polynomial)["__add__"], finds it
+    __add__ = LinearCombination.__add__
 
     @classmethod
     def monomial(cls, w: Word, field: FieldSpec, coeff=1) -> "Polynomial":
@@ -529,74 +603,18 @@ class Polynomial:
     def one(cls, field: FieldSpec) -> "Polynomial":
         return cls.monomial(EMPTY_WORD, field)
 
-    def _check_field(self, other: "Polynomial") -> None:
-        if self.field != other.field:
-            raise ValueError(
-                f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_field(other)
-        field = self.field
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = field.add(out.get(w, 0), c)
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return Polynomial(out, field, _clean=True)
-
-    def __neg__(self) -> "Polynomial":
-        field = self.field
-        return Polynomial({w: field.neg(c) for w, c in self.terms.items()},
-                          field, _clean=True)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def scale(self, coeff) -> "Polynomial":
-        field = self.field
-        coeff = field.coerce(coeff)
-        if not coeff:
-            return Polynomial.zero(field)
-        return Polynomial(
-            {w: field.mul(c, coeff) for w, c in self.terms.items()},
-            field, _clean=True)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Free product: concatenate words bilinearly."""
-        self._check_field(other)
-        field = self.field
+        self._check(other)
+        p = self.field.characteristic
         out: dict[Word, Coefficient] = {}
         for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = u * v
-                s = field.add(out.get(w, 0), field.mul(cu, cv))
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
-        return Polynomial(out, field, _clean=True)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Polynomial) and self.field == other.field
-                and self.terms == other.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, w: Word) -> Coefficient:
-        return self.terms.get(w, self.field.coerce(0))
+            _add_scaled(out, {u * v: cv for v, cv in other.terms.items()},
+                        cu, p)
+        return Polynomial(out, self.field, _clean=True)
 
     def support(self) -> set[Word]:
         return set(self.terms)
-
-    def items(self):
-        return self.terms.items()
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def leading_term(self, order: OrderSpec) -> tuple[Word, Coefficient]:
         """The order-maximal word of the support, with its coefficient."""
@@ -607,9 +625,6 @@ class Polynomial:
 
     def leading_monomial(self, order: OrderSpec) -> Word:
         return self.leading_term(order)[0]
-
-    def degrees(self) -> set[Degree]:
-        return {w.degree for w in self.terms}
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -752,13 +767,8 @@ class _Parser:
             sign = -1 if tok[0] == "minus" else 1
         while True:
             coeff, w = self.term()
-            coeff = field.coerce(sign * coeff if sign < 0 else coeff)
-            if w in terms:
-                coeff = field.add(terms[w], coeff)
-            if coeff:
-                terms[w] = coeff
-            elif w in terms:
-                del terms[w]
+            _add_scaled(terms, {w: field.coerce(coeff)}, sign,
+                        field.characteristic)
             tok = self.peek()
             if tok is None:
                 break

@@ -32,9 +32,11 @@ from .free_algebra import (
     FieldSpec,
     FreeAlgebraError,
     Generator,
+    LinearCombination,
     OrderSpec,
     Polynomial,
     Word,
+    _add_scaled,
     divided_alphabet,
     divided_generator,
     gen_a,
@@ -132,43 +134,17 @@ def _mul_basis(u: DividedMonomial, v: DividedMonomial,
             continue
         if j % 2:
             c = field.neg(c)
-        key = DividedMonomial(u.k_alpha + v.k_alpha - j,
-                              u.k_alphabeta + j + v.k_alphabeta,
-                              u.k_beta - j + v.k_beta)
-        s = field.add(out.get(key, 0), c)
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
+        # the eab power grows with j, so no two terms share a monomial
+        out[DividedMonomial(u.k_alpha + v.k_alpha - j,
+                            u.k_alphabeta + j + v.k_alphabeta,
+                            u.k_beta - j + v.k_beta)] = c
     return out
 
 
-class KostantElement:
+class KostantElement(LinearCombination):
     """Finitely supported combination of PBW basis monomials."""
 
-    __slots__ = ("terms", "field")
-
-    def __init__(self, terms: dict, field: FieldSpec, *, _clean: bool = False):
-        if not _clean:
-            clean: dict[DividedMonomial, Coefficient] = {}
-            for mono, c in terms.items():
-                c = field.coerce(c)
-                if mono in clean:
-                    c = field.add(clean[mono], c)
-                if c:
-                    clean[mono] = c
-                elif mono in clean:
-                    del clean[mono]
-            terms = clean
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):  # pragma: no cover - safety net
-        raise AttributeError("KostantElement is immutable")
-
-    @classmethod
-    def zero(cls, field: FieldSpec) -> "KostantElement":
-        return cls({}, field, _clean=True)
+    __slots__ = ()
 
     @classmethod
     def one(cls, field: FieldSpec) -> "KostantElement":
@@ -179,71 +155,16 @@ class KostantElement:
               coeff=1) -> "KostantElement":
         return cls({mono: coeff}, field)
 
-    def _check(self, other: "KostantElement") -> None:
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-
-    def __add__(self, other: "KostantElement") -> "KostantElement":
-        self._check(other)
-        field = self.field
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = field.add(out.get(mono, 0), c)
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return KostantElement(out, field, _clean=True)
-
-    def __neg__(self) -> "KostantElement":
-        field = self.field
-        return KostantElement(
-            {m: field.neg(c) for m, c in self.terms.items()}, field,
-            _clean=True)
-
-    def __sub__(self, other: "KostantElement") -> "KostantElement":
-        return self + (-other)
-
-    def scale(self, coeff) -> "KostantElement":
-        field = self.field
-        coeff = field.coerce(coeff)
-        if not coeff:
-            return KostantElement.zero(field)
-        return KostantElement(
-            {m: field.mul(c, coeff) for m, c in self.terms.items()}, field,
-            _clean=True)
-
     def __mul__(self, other: "KostantElement") -> "KostantElement":
         self._check(other)
         field = self.field
+        p = field.characteristic
         out: dict[DividedMonomial, Coefficient] = {}
         for mu, cu in self.terms.items():
             for mv, cv in other.terms.items():
-                c = field.mul(cu, cv)
-                for mono, cw in _mul_basis(mu, mv, field).items():
-                    s = field.add(out.get(mono, 0), field.mul(c, cw))
-                    if s:
-                        out[mono] = s
-                    elif mono in out:
-                        del out[mono]
+                _add_scaled(out, _mul_basis(mu, mv, field), field.mul(cu, cv),
+                            p)
         return KostantElement(out, field, _clean=True)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, KostantElement)
-                and self.field == other.field and self.terms == other.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: DividedMonomial) -> Coefficient:
-        return self.terms.get(mono, self.field.coerce(0))
-
-    def items(self):
-        return self.terms.items()
-
-    def degrees(self) -> set[Degree]:
-        return {m.degree for m in self.terms}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -308,6 +229,7 @@ def _evaluate_terms(terms, field: FieldSpec) -> KostantElement:
     entry can be zero.
     """
     memo: dict[tuple[DividedMonomial, str], dict] = {}
+    p = field.characteristic
     out: dict[DividedMonomial, Coefficient] = {}
     stack: list[dict] = [{UNIT_MONOMIAL: field.coerce(1)}]
     prev = ""
@@ -327,21 +249,11 @@ def _evaluate_terms(terms, field: FieldSpec) -> KostantElement:
                 if prod is None:
                     prod = memo[(mono, x)] = _mul_basis(
                         mono, _letter_monomial(generator_for_char(x)), field)
-                for key, b in prod.items():
-                    s = field.add(step.get(key, 0), field.mul(a, b))
-                    if s:
-                        step[key] = s
-                    elif key in step:
-                        del step[key]
+                _add_scaled(step, prod, a, p)
             value = step
             stack.append(value)
         prev = chars
-        for mono, a in value.items():
-            s = field.add(out.get(mono, 0), field.mul(c, a))
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
+        _add_scaled(out, value, c, p)
     return KostantElement(out, field, _clean=True)
 
 

@@ -331,14 +331,6 @@ def d2_prime(win: Window, deg_bound: int = 0) -> dict[Chain, ModuleElement]:
 # --------------------------------------------------------------------------
 
 
-def _module_coefficient(elt: ModuleElement, m: Word, t_word: Word):
-    """Coefficient of m.t in elt, 0 when no coordinate has that chain word."""
-    for (mm, tt), c in elt.items():
-        if mm == m and tt.word == t_word:
-            return c
-    return 0
-
-
 def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
     """The scalar coefficients that drive the surgery, checked numerically.
 
@@ -392,12 +384,12 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
             chain = _t2_chain(cx, src_word, ChainError,
                               f"the lemma {name} needs it")
             image = cx.d_chain(2, chain)
-            got = _module_coefficient(image, EMPTY_WORD, braid)
+            got = image.coefficient(EMPTY_WORD, Chain(1, braid))
             checks.append(CoefficientCheck(
                 f"{name} at .(b{k}*a{k})^p", str(expected), str(got),
                 field.coerce(got) == expected))
             ab_next = Word.of([ext.a(k + 1), ext.b(k + 1)])
-            got = _module_coefficient(image, EMPTY_WORD, ab_next)
+            got = image.coefficient(EMPTY_WORD, Chain(1, ab_next))
             checks.append(CoefficientCheck(
                 f"{name} at .a{k + 1}*b{k + 1}", "0", str(got), got == 0))
 
@@ -412,7 +404,7 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
                 continue
             if image is None:
                 image = cx.d_chain(2, t2)
-            got = _module_coefficient(image, EMPTY_WORD, t1.word)
+            got = image.coefficient(EMPTY_WORD, t1)
             checks.append(CoefficientCheck(
                 f"d2(.{t2.word}) at larger .{t1.word}", "0", str(got),
                 got == 0))

@@ -34,6 +34,7 @@ from .free_algebra import (
     OrderSpec,
     Polynomial,
     Word,
+    _add_scaled,
 )
 
 
@@ -157,19 +158,6 @@ class CompletenessCertificate:
                 for tip, res in self.failures
             ],
         }
-
-
-def _add_scaled(acc: dict, terms: dict, coeff, p: int) -> None:
-    """acc += coeff * terms for char-string -> coefficient maps; p = 0 is the
-    rationals."""
-    for w, c in terms.items():
-        s = acc.get(w, 0) + coeff * c
-        if p:
-            s %= p
-        if s:
-            acc[w] = s
-        elif w in acc:
-            del acc[w]
 
 
 # yields the letter-action keys it needs, receives their values, returns a

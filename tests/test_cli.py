@@ -88,6 +88,36 @@ class TestNf:
         assert code == 2
         assert err.startswith("error: zero denominator")
 
+    @pytest.mark.parametrize("expression,need", [
+        ("ea(2)*ea(1)", 3),
+        ("eb(1)*ea(5)", 5),
+    ])
+    def test_char0_weight_above_bound_rejected(self, capsys, expression,
+                                               need):
+        code, out, err = run(capsys, "nf", "--p", "3", "--m", "1", "--char0",
+                             expression)
+        assert code == 2
+        assert not out
+        assert f"need --bound {need}" in err
+
+    def test_char0_bound_large_enough(self, capsys):
+        code, out, _ = run(capsys, "nf", "--p", "3", "--m", "1", "--char0",
+                           "--bound", "3", "ea(2)*ea(1)")
+        assert code == 0
+        assert out.strip() == "3*ea(3)"
+
+    def test_truncated_letter_above_bound_rejected(self, capsys):
+        code, out, err = run(capsys, "nf", "--p", "3", "--m", "1", "eab(9)")
+        assert code == 2
+        assert not out
+        assert "eab(9)" in err and "<= 2" in err
+
+    def test_truncated_merge_past_bound_vanishes(self, capsys):
+        code, out, _ = run(capsys, "nf", "--p", "3", "--m", "1",
+                           "ea(1)*ea(1)*ea(1)")
+        assert code == 0
+        assert out.strip() == "0"
+
 
 class TestGb:
     def test_small_window(self, capsys):
