@@ -633,22 +633,6 @@ class Polynomial(LinearCombination):
         return f"Polynomial({format_poly(self)} over {self.field})"
 
 
-def leading_term(f: Polynomial, order: OrderSpec) -> tuple[Word, Coefficient]:
-    return f.leading_term(order)
-
-
-def add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def scale(coeff, f: Polynomial) -> Polynomial:
-    return f.scale(coeff)
-
-
-def multiply_free(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
 # --------------------------------------------------------------------------
 # text grammar
 # --------------------------------------------------------------------------
