@@ -43,15 +43,8 @@ from .rewriting import (
     RewriteRule,
     RewriteSystem,
     complete,
-    critical_pairs,
     find_overlaps,
     interreduce,
-    irreducible_words,
-    is_complete,
-    is_reduced,
-    normal_form,
-    reduce_once,
-    restrict_to_subalphabet,
     rule_from_poly,
     spolynomial,
 )

@@ -30,7 +30,7 @@ sparsely, row by row, and ranked by one exact elimination
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .free_algebra import (
@@ -112,7 +112,8 @@ class ModuleElement(LinearCombination):
         return ModuleElement(self.level, terms, self.field, _clean=True)
 
     def _check(self, other: "ModuleElement") -> None:
-        if self.level != other.level or self.field != other.field:
+        super()._check(other)
+        if self.level != other.level:
             raise ValueError("module element mismatch")
 
     def __eq__(self, other: object) -> bool:
@@ -170,8 +171,7 @@ class GradedMatrix:
     """The matrix of one differential in one degree, over the exact field.
 
     Each row lists its (column index, nonzero coefficient) pairs in
-    increasing column order.  Instances are shared through
-    ``AnickComplex.matrix``'s memo: read them, never mutate them.
+    increasing column order.
     """
 
     degree: Degree
@@ -234,6 +234,9 @@ class DegreeReport:
     exact_at_augmentation: bool
     exact_at_p0: bool
     exact_at_p1: bool
+    # the matrices of d1 and d2 in this degree, kept for the report
+    d1: GradedMatrix = dc_field(repr=False, compare=False)
+    d2: GradedMatrix = dc_field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -272,7 +275,6 @@ class AnickComplex:
         # (n, chain, dmap) -> m chars -> m.d_n(t) or m.dmap(t), grouped;
         # the key "" holds the image of .t itself
         self._images: dict[tuple, dict[str, _Grouped]] = {}
-        self._matrix_memo: dict[tuple, GradedMatrix] = {}
         self._words_bound = -1
         self._words_by_degree: dict[Degree, list[Word]] = {}
 
@@ -365,11 +367,10 @@ class AnickComplex:
                                  chain_key[mt[1]]), reverse=True)
         return out
 
-    def module_dimension(self, level: int, degree: Degree,
-                         chain_set: Optional[Sequence[Chain]] = None) -> int:
-        """dim (P_level)_degree, over chain_set when given."""
+    def module_dimension(self, level: int, degree: Degree) -> int:
+        """dim (P_level)_degree."""
         total = 0
-        for t in self.chains(level) if chain_set is None else chain_set:
+        for t in self.chains(level):
             rest = degree - t.degree
             if rest.alpha >= 0 and rest.beta >= 0:
                 total += len(self.irreducible_of_degree(rest))
@@ -585,28 +586,7 @@ class AnickComplex:
                target_chains: Optional[Sequence[Chain]] = None,
                dmap: Optional[Callable[[Chain], ModuleElement]] = None
                ) -> GradedMatrix:
-        """The matrix of d_n (or of a supplied chain map) in one degree.
-
-        Memoized: every caller of one (map, degree, source, target) gets the
-        same GradedMatrix, which therefore must never be mutated.  A matrix
-        that is used once only is better built through :meth:`_matrix`, so
-        the memo does not keep it alive.
-        """
-        key = (n, degree,
-               None if source_chains is None else tuple(source_chains),
-               None if target_chains is None else tuple(target_chains),
-               dmap)
-        hit = self._matrix_memo.get(key)
-        if hit is None:
-            hit = self._matrix_memo[key] = self._matrix(
-                n, degree, source_chains, target_chains, dmap)
-        return hit
-
-    def _matrix(self, n: int, degree: Degree,
-                source_chains: Optional[Sequence[Chain]],
-                target_chains: Optional[Sequence[Chain]],
-                dmap: Optional[Callable[[Chain], ModuleElement]]
-                ) -> GradedMatrix:
+        """The matrix of d_n (or of a supplied chain map) in one degree."""
         cols = self.basis(n, degree, source_chains)
         rows = self.basis(n - 1, degree, target_chains)
         index: dict[Chain, dict[str, int]] = {}
@@ -640,12 +620,10 @@ class AnickComplex:
         and P_1, and the augmentation is exact too."""
         reports = []
         for degree in self.relevant_degrees(deg_bound):
-            dims = {level: self.module_dimension(level, degree)
-                    for level in (-1, 0, 1, 2)}
-            # d0 is ranked here only, so it is not kept in the memo
-            r0 = self._matrix(0, degree, None, None, None).rank(self.field)
-            r1 = self.matrix(1, degree).rank(self.field)
-            r2 = self.matrix(2, degree).rank(self.field)
+            d0, d1, d2 = (self.matrix(n, degree) for n in (0, 1, 2))
+            dims = {-1: len(d0.row_labels), 0: len(d1.row_labels),
+                    1: len(d2.row_labels), 2: len(d2.col_labels)}
+            r0, r1, r2 = (m.rank(self.field) for m in (d0, d1, d2))
             ker_eps = dims[-1] - (1 if degree == Degree(0, 0) else 0)
             reports.append(DegreeReport(
                 degree=degree,
@@ -654,5 +632,7 @@ class AnickComplex:
                 exact_at_augmentation=(r0 == ker_eps),
                 exact_at_p0=(dims[0] - r0 == r1),
                 exact_at_p1=(dims[1] - r1 == r2),
+                d1=d1,
+                d2=d2,
             ))
         return reports

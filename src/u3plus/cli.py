@@ -170,27 +170,36 @@ def _dump(payload: dict, fh) -> None:
     fh.write("\n}\n")
 
 
-def _check_nf_bound(poly, bound: int, truncated: bool) -> None:
-    """Refuse divided words the system on indices <= bound cannot reduce.
+# PBW order of the divided letters: a normal form in characteristic 0 is a
+# combination of ea(i)*eab(j)*eb(k) with each letter optional
+_PBW_RANK = {"ea": 0, "eab": 1, "eb": 2}
 
-    The truncated system is exact on its own letters.  The untruncated one
-    has only the merges that stay inside the bound, and every letter of the
-    normal form of a word of weight (alpha, beta) has index at most
-    max(alpha, beta).
+
+def _check_truncated(poly, bound: int) -> None:
+    """Refuse letters outside the truncated system on indices <= bound."""
+    for w in poly.terms:
+        for g in w:
+            if g.index > bound:
+                raise UsageError(
+                    f"letter {g.token} is outside the truncated system "
+                    f"on indices <= {bound}")
+
+
+def _check_pbw(poly, result, bound: int) -> None:
+    """Refuse a normal form that is not in PBW order.
+
+    The untruncated system has only the merges that stay inside the bound,
+    so a word it leaves out of PBW order needed a rule past it.  Every
+    letter of the normal form of a word of weight (alpha, beta) has index
+    at most max(alpha, beta), so that bound is enough.
     """
-    if truncated:
-        for w in poly.terms:
-            for g in w:
-                if g.index > bound:
-                    raise UsageError(
-                        f"letter {g.token} is outside the truncated system "
-                        f"on indices <= {bound}")
-        return
-    need = max(max(w.degree) for w in poly.terms)
-    if need > bound:
-        raise UsageError(
-            f"--bound {bound} is too small for this expression: its terms "
-            f"need --bound {need}")
+    for w in result.terms:
+        ranks = [_PBW_RANK[g.kind] for g in w]
+        if any(a >= b for a, b in zip(ranks, ranks[1:])):
+            need = max(max(w.degree) for w in poly.terms)
+            raise UsageError(
+                f"--bound {bound} is too small for this expression: its "
+                f"terms need --bound {need}")
 
 
 def cmd_nf(args) -> int:
@@ -207,9 +216,13 @@ def cmd_nf(args) -> int:
             raise UsageError("the window basis needs characteristic p")
         system = small_groebner_basis(win)
     else:
+        bound = _bound(args, win)
         system = _big_system(field, args, win, truncated=not args.char0)
-        _check_nf_bound(poly, _bound(args, win), truncated=not args.char0)
+        if not args.char0:
+            _check_truncated(poly, bound)
     result = system.normal_form(poly)
+    if args.char0:  # only divided expressions get here
+        _check_pbw(poly, result, bound)
     rendered = format_poly(result, system.order)
     _emit({"input": args.expression, "normal_form": rendered}, rendered, args)
     return 0
@@ -270,9 +283,6 @@ def cmd_anick(args) -> int:
     bound = args.max_deg
     complex_report = cx.complex_check(bound)
     exactness = cx.exactness_check(bound)
-    degrees = cx.relevant_degrees(bound)
-    matrices = {f"d{level}": [cx.matrix(level, degree) for degree in degrees]
-                for level in (1, 2)}
     ok = complex_report["ok"] and all(r.ok for r in exactness)
     payload = {
         "t1": [list(c.word.tokens) for c in cx.t1],
@@ -283,7 +293,8 @@ def cmd_anick(args) -> int:
             for level in (0, 1, 2)
         },
         "matches_W": [[str(u.word), str(w.word)] for u, w in cx.matches_w()],
-        **matrices,
+        "d1": [r.d1 for r in exactness],
+        "d2": [r.d2 for r in exactness],
         "complex_check": complex_report,
         "exactness": [r.to_json() for r in exactness],
         "ok": ok,
@@ -308,7 +319,8 @@ def cmd_minimal(args) -> int:
     payload = report.to_json()
     payload["t1_prime"] = [list(c.word.tokens) for c in resolution.t1_prime]
     payload["t2_prime"] = [list(c.word.tokens) for c in resolution.t2_prime]
-    payload["d2_prime"] = resolution.d2_prime_matrices()
+    payload["d2_prime"] = resolution.d2_prime_matrices(
+        report.exactness_at_p1_prime)
     lines = [
         f"T1' ({len(resolution.t1_prime)}): "
         + ", ".join(str(c.word) for c in resolution.t1_prime),

@@ -50,9 +50,6 @@ class Degree(NamedTuple):
         return f"{self.alpha}a+{self.beta}b"
 
 
-ZERO_DEGREE = Degree(0, 0)
-
-
 class FreeAlgebraError(Exception):
     """Base class for errors raised by this package."""
 
@@ -280,9 +277,6 @@ class Word:
     def is_factor_of(self, other: "Word") -> bool:
         return self.chars in other.chars
 
-    def is_proper_factor_of(self, other: "Word") -> bool:
-        return self.chars != other.chars and self.chars in other.chars
-
     def power(self, n: int) -> "Word":
         return Word(self.chars * n)
 
@@ -319,10 +313,6 @@ class FieldSpec:
         c = self.characteristic
         if c != 0 and not is_prime(c):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
-
-    @property
-    def is_modular(self) -> bool:
-        return self.characteristic != 0
 
     def coerce(self, value) -> Coefficient:
         p = self.characteristic
@@ -540,6 +530,9 @@ class LinearCombination:
         return type(self)(terms, self.field, _clean=True)
 
     def _check(self, other: "LinearCombination") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
         if self.field != other.field:
             raise ValueError(
                 f"field mismatch: {self.field} vs {other.field}")

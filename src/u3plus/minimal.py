@@ -25,7 +25,7 @@ unchanged).  Reports are restricted to the requested window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .free_algebra import (
     Degree,
@@ -120,6 +120,8 @@ class PrimeDegreeReport:
     dim_p1_prime: int
     rank_d1_prime: int
     rank_d2_prime: int
+    # the matrix of d'_2 in this degree, kept for the report
+    d2_prime: GradedMatrix = dc_field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -187,6 +189,11 @@ class MinimalResolution:
                               if self._max_index(c) <= max_idx)
         self.t2_prime = tuple(c for c in self.t2_prime_ext
                               if self._max_index(c) <= max_idx)
+        # the d'_2 sources the certificates check: T'_2 and every
+        # extended-window source within the weight bound
+        self.checked_t2 = tuple(c for c in self.t2_prime_ext
+                                if c.degree.norm <= deg_bound
+                                or self._max_index(c) <= max_idx)
         self._braid_chain = {}
         for k in self.ext_window.indices:
             w = _braid_word(self.ext_window, k)
@@ -253,41 +260,32 @@ class MinimalResolution:
         d0_small = all(radical_membership(cx.d_chain(0, t)) for t in self.t0)
         d1_small = all(radical_membership(cx.d_chain(1, t))
                        for t in self.t1_prime)
-        sources = list(self.t2_prime)
-        sources += [c for c in self.t2_prime_ext
-                    if c not in sources and c.degree.norm <= self.deg_bound]
-        d2_small = all(radical_membership(self.d2_prime(w)) for w in sources)
+        d2_small = all(radical_membership(self.d2_prime(w))
+                       for w in self.checked_t2)
         return {"d0": d0_small, "d1": d1_small, "d2": d2_small}
 
     def d1_after_d2_zero(self) -> bool:
-        sources = [c for c in self.t2_prime_ext
-                   if c.degree.norm <= self.deg_bound or c in self.t2_prime]
-        return all(self.cx.d(1, self.d2_prime(w)).is_zero for w in sources)
+        return all(self.cx.d(1, self.d2_prime(w)).is_zero
+                   for w in self.checked_t2)
 
     def exactness_at_p1_prime(self) -> list[PrimeDegreeReport]:
         cx = self.cx
         reports = []
         for degree in cx.relevant_degrees(self.deg_bound):
-            dim_p1p = cx.module_dimension(1, degree, self.t1_prime_ext)
-            # ranked here only, so it is not kept in the matrix memo
-            m1 = cx._matrix(1, degree, self.t1_prime_ext, None, None)
+            m1 = cx.matrix(1, degree, self.t1_prime_ext)
             m2 = cx.matrix(2, degree, source_chains=self.t2_prime_ext,
                            target_chains=self.t1_prime_ext,
                            dmap=self.d2_prime)
             reports.append(PrimeDegreeReport(
-                degree, dim_p1p, m1.rank(cx.field), m2.rank(cx.field)))
+                degree, len(m2.row_labels), m1.rank(cx.field),
+                m2.rank(cx.field), m2))
         return reports
 
-    def d2_prime_matrices(self) -> list[GradedMatrix]:
-        cx = self.cx
-        out = []
-        for degree in cx.relevant_degrees(self.deg_bound):
-            mat = cx.matrix(2, degree, source_chains=self.t2_prime_ext,
-                            target_chains=self.t1_prime_ext,
-                            dmap=self.d2_prime)
-            if mat.row_labels and mat.col_labels:
-                out.append(mat)
-        return out
+    def d2_prime_matrices(self, reports: Sequence[PrimeDegreeReport]
+                          ) -> list[GradedMatrix]:
+        """The non-empty d'_2 matrices the exactness certificates ranked."""
+        return [r.d2_prime for r in reports
+                if r.d2_prime.row_labels and r.d2_prime.col_labels]
 
     def ext_dimensions(self) -> dict:
         """Graded generator counts of the minimal steps: Ext^1 from T_0,

@@ -428,35 +428,6 @@ class RewriteSystem:
                 f"{self.field}, {self.order!r})")
 
 
-def is_complete(system: RewriteSystem) -> CompletenessCertificate:
-    return system.is_complete()
-
-
-def is_reduced(system: RewriteSystem) -> bool:
-    return system.is_reduced()
-
-
-def normal_form(f: Polynomial, system: RewriteSystem) -> Polynomial:
-    return system.normal_form(f)
-
-
-def reduce_once(g: Polynomial, system: RewriteSystem) -> Optional[Polynomial]:
-    return system.reduce_once(g)
-
-
-def critical_pairs(system: RewriteSystem) -> tuple[CriticalPair, ...]:
-    return system.critical_pairs()
-
-
-def restrict_to_subalphabet(system: RewriteSystem,
-                            gens: Iterable[Generator]) -> RewriteSystem:
-    return system.restrict_to_subalphabet(gens)
-
-
-def irreducible_words(system: RewriteSystem, deg_bound: int) -> list[Word]:
-    return system.irreducible_words(deg_bound)
-
-
 # --------------------------------------------------------------------------
 # interreduction and bounded completion
 # --------------------------------------------------------------------------

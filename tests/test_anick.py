@@ -486,7 +486,7 @@ class TestGradedMatrix:
     def test_rows_are_sparse_and_column_ordered(self, cx31):
         for degree in cx31.relevant_degrees(12):
             for level in (0, 1, 2):
-                mat = cx31._matrix(level, degree, None, None, None)
+                mat = cx31.matrix(level, degree)
                 for row in mat.entries:
                     cols = [j for j, _ in row]
                     assert cols == sorted(set(cols))

@@ -91,6 +91,7 @@ class TestNf:
     @pytest.mark.parametrize("expression,need", [
         ("ea(2)*ea(1)", 3),
         ("eb(1)*ea(5)", 5),
+        ("ea(1)*eb(2)*ea(2)", 3),
     ])
     def test_char0_weight_above_bound_rejected(self, capsys, expression,
                                                need):
@@ -99,6 +100,20 @@ class TestNf:
         assert code == 2
         assert not out
         assert f"need --bound {need}" in err
+
+    @pytest.mark.parametrize("expression,expected", [
+        ("ea(2)*eab(1)", "ea(2)*eab(1)"),
+        ("eab(1)*ea(2)", "ea(2)*eab(1)"),
+        ("ea(5)", "ea(5)"),
+    ])
+    def test_char0_pbw_normal_form_within_default_bound(self, capsys,
+                                                        expression, expected):
+        """A weight above the bound is fine when no merge past it is
+        needed: the normal form is already in PBW order."""
+        code, out, _ = run(capsys, "nf", "--p", "3", "--m", "1", "--char0",
+                           expression)
+        assert code == 0
+        assert out.strip() == expected
 
     def test_char0_bound_large_enough(self, capsys):
         code, out, _ = run(capsys, "nf", "--p", "3", "--m", "1", "--char0",
@@ -247,33 +262,34 @@ class TestInputValidation:
     ("minimal", "--p", "2", "--m", "1", "--max-deg", "8"),
 ])
 def test_each_matrix_built_once(capsys, monkeypatch, argv):
-    """The report reuses the matrices the exactness certificates built, and
-    the matrices ranked once only (d0, the restricted d1') bypass the memo."""
-    requested, built = [], []
+    """No graded matrix is built twice, and the report prints the very
+    matrices the exactness certificates ranked."""
+    built, ranked, payloads = [], [], []
+    matrix, rank = AnickComplex.matrix, GradedMatrix.rank
 
-    def counted(log, method):
-        def wrapper(self, n, degree, source_chains=None, target_chains=None,
-                    dmap=None):
-            log.append((id(self), n, degree,
-                        None if source_chains is None else tuple(source_chains),
-                        None if target_chains is None else tuple(target_chains),
-                        dmap))
-            return method(self, n, degree, source_chains, target_chains, dmap)
-        return wrapper
+    def counted(self, n, degree, source_chains=None, target_chains=None,
+                dmap=None):
+        built.append((id(self), n, degree,
+                      None if source_chains is None else tuple(source_chains),
+                      None if target_chains is None else tuple(target_chains),
+                      dmap))
+        return matrix(self, n, degree, source_chains, target_chains, dmap)
 
-    monkeypatch.setattr(AnickComplex, "matrix",
-                        counted(requested, AnickComplex.matrix))
-    monkeypatch.setattr(AnickComplex, "_matrix",
-                        counted(built, AnickComplex._matrix))
-    code, _, _ = run(capsys, *argv, "--json", "-")
-    assert code == 0
-    assert len(built) == len(set(built))
-    assert set(requested) <= set(built)
-    assert len(requested) > len(set(requested))
-    single_use = set(built) - set(requested)
-    assert single_use
-    assert all(n == 0 or (n == 1 and source is not None)
-               for _, n, _, source, _, _ in single_use)
+    def recorded(self, field):
+        ranked.append(self)
+        return rank(self, field)
+
+    monkeypatch.setattr(AnickComplex, "matrix", counted)
+    monkeypatch.setattr(GradedMatrix, "rank", recorded)
+    monkeypatch.setattr(cli, "_emit",
+                        lambda payload, text, args: payloads.append(payload))
+    assert run(capsys, *argv)[0] == 0
+    assert built and len(built) == len(set(built))
+    (payload,) = payloads
+    ranked_ids = {id(m) for m in ranked}
+    for key in {"anick": ("d1", "d2"), "minimal": ("d2_prime",)}[argv[0]]:
+        assert payload[key]
+        assert all(id(m) in ranked_ids for m in payload[key])
 
 
 WORKLOADS = json.loads((Path(__file__).resolve().parent.parent / "perfbench"

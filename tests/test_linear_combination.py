@@ -19,8 +19,11 @@ from u3plus import (
     Polynomial,
     QQ,
     Word,
+    divided_generator,
+    evaluate_word,
     gen_a,
     gen_b,
+    parse_poly,
 )
 from u3plus.free_algebra import LinearCombination
 
@@ -129,6 +132,23 @@ def test_module_levels_must_match():
     with pytest.raises(ValueError, match="module element mismatch"):
         x - y
     assert x != y
+
+
+def test_kinds_do_not_mix():
+    """Two kinds of combination over one field never combine: the result
+    would hold keys of both kinds."""
+    field = FieldSpec(3)
+    poly = parse_poly("ea(1)", field)
+    pbw = evaluate_word(Word.of([divided_generator("ea", 1)]), field)
+    module = ModuleElement(1, {(EMPTY_WORD, _CHAINS[0]): 1}, field)
+    with pytest.raises(TypeError):
+        poly + pbw
+    with pytest.raises(TypeError):
+        pbw + poly
+    with pytest.raises(TypeError):
+        module - poly
+    with pytest.raises(TypeError):
+        poly - module
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

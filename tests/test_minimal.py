@@ -22,6 +22,8 @@ from u3plus import (
 from u3plus.anick import AnickComplex, ChainError
 from u3plus.minimal import MinimalResolution, WindowTooSmallError
 
+from conftest import complex_for, resolution_for
+
 
 def W2(*letters):
     return Word.of([gen_a(k, 2) if kind == "a" else gen_b(k, 2)
@@ -314,3 +316,19 @@ class TestMinimalityReport:
         assert set(payload["smallness"]) == {"d0", "d1", "d2"}
         assert payload["exactness_at_P1_prime"][0]["degree"] == [0, 0]
         assert "ext_dims" in payload
+
+
+@pytest.mark.parametrize("p,bound", [(2, 8), (3, 12)])
+def test_dimensions_read_off_the_ranked_matrices(p, bound):
+    """The certificates read every dimension off the labels of the matrices
+    they rank; the counts agree with the graded bases."""
+    cx = complex_for(p, 1)
+    for r in cx.exactness_check(bound):
+        for level in (-1, 0, 1, 2):
+            assert r.dims[level] == cx.module_dimension(level, r.degree)
+    res = resolution_for(p, 1, bound)
+    reports = res.exactness_at_p1_prime()
+    assert reports
+    for r in reports:
+        assert r.dim_p1_prime == len(res.cx.basis(1, r.degree,
+                                                  res.t1_prime_ext))
