@@ -57,7 +57,6 @@ from .kostant import (
     divided_element,
     evaluate_poly,
     evaluate_word,
-    expand_in_small,
     lucas_binomial,
     relation_suite,
     small_generator,

@@ -187,6 +187,13 @@ class TestVerify:
         assert "all checks pass" in out
         assert "FAIL" not in out
 
+    def test_generation_over_full_window(self, capsys):
+        # p^m = 25: every e_kind(n) with n <= 24 gets a generation check
+        code, out, _ = run(capsys, "verify", "--p", "5", "--m", "2")
+        assert code == 0
+        assert "all checks pass" in out
+        assert out.count("pass  generates:") == 3 * 24
+
     def test_json_payload(self, capsys, tmp_path):
         target = tmp_path / "verify.json"
         code, _, _ = run(capsys, "verify", "--p", "2", "--m", "1",

@@ -18,7 +18,6 @@ from u3plus import (
     divided_element,
     evaluate_poly,
     evaluate_word,
-    expand_in_small,
     gen_a,
     gen_b,
     lucas_binomial,
@@ -28,6 +27,7 @@ from u3plus import (
     small_groebner_basis,
     word,
 )
+from u3plus import kostant
 from conftest import system_for
 
 F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
@@ -168,10 +168,12 @@ class TestSmallBasis:
 
 
 class TestRelationSuite:
-    @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1)])
+    @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1), (3, 3),
+                                     (5, 2), (5, 3)])
     def test_all_pass(self, p, m):
         checks = relation_suite(Window(p, 0, m))
-        assert checks, "suite must not be empty"
+        gens = [c for c in checks if c.name.startswith("generates:")]
+        assert len(gens) == 3 * (p**m - 1)  # every kind over 1..p^m-1
         failures = [c.name for c in checks if not c.ok]
         assert failures == []
 
@@ -186,11 +188,32 @@ class TestRelationSuite:
         assert len(gens) == 9  # three kinds, powers 1..3
         assert all(c.ok for c in gens)
 
-    def test_expand_in_small_recursion(self):
-        # eab(2) at p = 2 is expressed through b1 a1 and lower powers
+    def test_pbw_witness_recursion(self):
+        # eab(2) at p = 2 unwinds the straightening rule for b1 a1 through
+        # eab(1) and the ea/eb powers below it
         win = Window(2, 0, 2)
-        witness = expand_in_small("eab", 2, win)
-        assert evaluate_poly(witness) == divided_element("eab", 2, win.field)
+        memo = {}
+        value = kostant._generated("eab", 2, win, memo)
+        assert value == divided_element("eab", 2, win.field)
+        assert {("eab", 1), ("ea", 1), ("eb", 1)} <= set(memo)
+
+    def test_flipped_correction_sign_fails(self, monkeypatch):
+        # (-1)^q (b a + S) instead of (-1)^q (b a - S), where S is the
+        # straightening correction: 2 (-1)^q b a minus the true value
+        original = kostant._eab_prime_power
+
+        def flipped(s, win, memo):
+            ba = (small_generator("b", s, win.p)
+                  * small_generator("a", s, win.p))
+            return ba.scale(2 * (-1) ** win.p**s) - original(s, win, memo)
+
+        monkeypatch.setattr(kostant, "_eab_prime_power", flipped)
+        checks = relation_suite(Window(3, 0, 2))
+        failed = [c for c in checks if not c.ok]
+        assert [c.name for c in failed] == [
+            f"generates:eab({n})" for n in range(1, 9)]
+        assert all(c.residual is not None and not c.residual.is_zero
+                   for c in failed)
 
 
 class TestDimension:
