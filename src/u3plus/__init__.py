@@ -5,13 +5,16 @@ Layers, bottom up:
 
 * :mod:`u3plus.free_algebra` - words, monomial orders, exact polynomials;
 * :mod:`u3plus.rewriting` - rewriting systems, normal forms, critical
-  pairs, completeness certificates, bounded completion;
+  pairs, completeness certificates, subalphabet restriction;
 * :mod:`u3plus.kostant` - the divided-power (PBW) arithmetic that serves
   as ground truth, the window bases, the straightening rule system;
 * :mod:`u3plus.anick` - resolution chains and differentials with graded
   exactness certificates;
 * :mod:`u3plus.minimal` - the surgery making the first three steps of the
-  resolution minimal, and extension-group dimensions;
+  resolution minimal, and extension-group dimensions.  The surgery runs in
+  a window extended upward; ``MinimalResolution`` checks at construction
+  that the extended basis restricts to the requested window's basis and
+  raises ``RestrictionError`` otherwise;
 * :mod:`u3plus.cli` - the ``u3plus`` batch command.
 """
 
@@ -26,25 +29,22 @@ from .free_algebra import (
     Polynomial,
     QQ,
     Word,
-    compare_words,
     divided_alphabet,
     divided_generator,
     format_poly,
     gen_a,
     gen_b,
     parse_poly,
-    phi_map,
     small_window_alphabet,
     word,
 )
 from .rewriting import (
     CompletenessCertificate,
     CriticalPair,
+    RestrictionError,
     RewriteRule,
     RewriteSystem,
-    complete,
     find_overlaps,
-    interreduce,
     rule_from_poly,
     spolynomial,
 )
@@ -69,11 +69,8 @@ from .anick import (
     ModuleElement,
 )
 from .minimal import (
-    FreeGradedModule,
     MinimalResolution,
     coefficient_lemma_checks,
-    d2_prime,
-    minimality_report,
     radical_membership,
     reduced_chain_sets,
 )

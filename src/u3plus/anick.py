@@ -128,9 +128,6 @@ class ModuleElement(LinearCombination):
             {m: c for (m, t), c in self.terms.items() if t == chain},
             self.field, _clean=True)
 
-    def chains(self) -> set[Chain]:
-        return {t for (_, t) in self.terms}
-
     def degrees(self) -> set[Degree]:
         return {m.degree + t.degree for (m, t) in self.terms}
 
@@ -314,9 +311,6 @@ class AnickComplex:
     def chains(self, level: int) -> tuple[Chain, ...]:
         return {-1: (self.e_chain,), 0: self.t0, 1: self.t1,
                 2: self.t2}[level]
-
-    def degree_table(self, level: int) -> dict[Chain, Degree]:
-        return {c: c.degree for c in self.chains(level)}
 
     def matches_w(self) -> list[tuple[Chain, Chain]]:
         """All (t1, t2) chain pairs of equal weight."""

@@ -263,10 +263,6 @@ class Word:
             yield _BY_CHAR[ord(c) - _CHAR_BASE]
 
     @property
-    def letters(self) -> tuple[Generator, ...]:
-        return tuple(self)
-
-    @property
     def tokens(self) -> tuple[str, ...]:
         return tuple(g.token for g in self)
 
@@ -458,26 +454,6 @@ class OrderSpec:
         return "OrderSpec.big_ll()"
 
 
-def compare_words(u: Word, v: Word, order: OrderSpec) -> Comparison:
-    """Compare two words under the given order."""
-    return order.compare(u, v)
-
-
-def phi_map(w: Word) -> Word:
-    """Expand divided powers: e_w^(k) -> e_w e_w ... e_w (k letters).
-
-    Only defined on divided-power words; small generators must be converted
-    explicitly first.
-    """
-    out = []
-    for g in w:
-        if not g.is_divided:
-            raise OrderDomainError(
-                f"phi is undefined on small generator {g.token}")
-        out.append(divided_generator(g.kind, 1).char * g.index)
-    return Word("".join(out))
-
-
 # --------------------------------------------------------------------------
 # sparse linear combinations
 # --------------------------------------------------------------------------
@@ -606,18 +582,12 @@ class Polynomial(LinearCombination):
                         cu, p)
         return Polynomial(out, self.field, _clean=True)
 
-    def support(self) -> set[Word]:
-        return set(self.terms)
-
     def leading_term(self, order: OrderSpec) -> tuple[Word, Coefficient]:
         """The order-maximal word of the support, with its coefficient."""
         if not self.terms:
             raise EmptyPolynomialError("zero polynomial has no leading term")
         w = max(self.terms, key=order.key)
         return w, self.terms[w]
-
-    def leading_monomial(self, order: OrderSpec) -> Word:
-        return self.leading_term(order)[0]
 
     def __str__(self) -> str:
         return format_poly(self)

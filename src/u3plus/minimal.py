@@ -17,20 +17,22 @@ generator counts of P_0, P'_1, P'_2 are the graded dimensions of the first
 three extension groups of the trivial module.
 
 Substituting for index k requires the chain a_{k+1} b_k^p, so computations
-run inside a window extended upward; the restriction property of the basis
-makes the extension conservative (differentials of low-index chains are
-unchanged).  Reports are restricted to the requested window.
+run inside a window extended upward.  The extension is conservative when the
+extended basis restricts to the requested window's basis: then the rules,
+normal forms and differentials of low-index words and chains are unchanged.
+``MinimalResolution`` checks this restriction property at construction and
+raises ``RestrictionError`` when the restricted extended basis differs from
+the window basis.  Reports are restricted to the requested window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .free_algebra import (
     Degree,
     EMPTY_WORD,
-    FieldSpec,
     FreeAlgebraError,
     Word,
 )
@@ -42,36 +44,19 @@ from .anick import (
     ModuleElement,
 )
 from .kostant import Window, small_groebner_basis
+from .rewriting import RestrictionError
 
 
 class WindowTooSmallError(FreeAlgebraError):
     """A substitution referenced a braid coordinate outside the window."""
 
 
-@dataclass(frozen=True)
-class FreeGradedModule:
-    """A free graded module presented by its generator chains; the shift of
-    each generator is the weight of its chain word."""
-
-    generators: tuple[Chain, ...]
-    field: FieldSpec
-
-    def shifts(self) -> list[Degree]:
-        return [c.degree for c in self.generators]
-
-
-def radical_membership(x: ModuleElement,
-                       module: Optional[FreeGradedModule] = None) -> bool:
+def radical_membership(x: ModuleElement) -> bool:
     """True iff no coordinate of x has a scalar (weight-zero) part.
 
     For graded free modules this is exactly smallness of the submodule the
     element generates.
     """
-    if module is not None:
-        allowed = set(module.generators)
-        for (_, t) in x.terms:
-            if t not in allowed:
-                raise ValueError(f"coordinate {t.word} is not in the module")
     return all(not m.is_empty for (m, _t) in x.terms)
 
 
@@ -180,6 +165,13 @@ class MinimalResolution:
             need += 1
         self.ext_window = Window(p, win.j, max(win.m + 1, need))
         self.cx = AnickComplex(small_groebner_basis(self.ext_window))
+        restricted = self.cx.system.restrict_to_subalphabet(win.alphabet())
+        basis = small_groebner_basis(win)
+        if (restricted.rules != basis.rules
+                or restricted.alphabet != basis.alphabet):
+            raise RestrictionError(
+                f"the basis of the extended window {self.ext_window} does not "
+                f"restrict to the basis of {win}")
         self.t1_prime_ext, self.t2_prime_ext = reduced_chain_sets(
             self.cx, self.ext_window)
         max_idx = win.m - 1
@@ -312,16 +304,6 @@ class MinimalResolution:
             exactness_at_p1_prime=self.exactness_at_p1_prime(),
             ext_dims=self.ext_dimensions(),
         )
-
-
-def minimality_report(win: Window, deg_bound: int) -> MinimalComplexReport:
-    return MinimalResolution(win, deg_bound).report()
-
-
-def d2_prime(win: Window, deg_bound: int = 0) -> dict[Chain, ModuleElement]:
-    """d'_2 on every requested-window source, as a chain -> image map."""
-    res = MinimalResolution(win, deg_bound)
-    return {c: res.d2_prime(c) for c in res.t2_prime}
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,17 @@
 A rule replaces occurrences of its leading monomial by a strictly smaller
 polynomial; a system bundles rules with a monoidal artinian order, which
 guarantees that exhaustive rewriting terminates.  On top of one-step and full
-reduction the module provides overlap enumeration, critical-pair reducibility,
-completeness and reducedness certificates, subalphabet restriction, bounded
-irreducible-word enumeration, and a bounded completion loop.
+reduction the module provides overlap enumeration, critical pairs,
+completeness and reducedness certificates, subalphabet restriction and
+bounded irreducible-word enumeration.  The window bases are written down in
+full (``kostant.small_groebner_basis``) and certified complete, so nothing
+here completes a system.
+
+Subalphabet restriction keeps the rules whose left-hand side uses only the
+given letters and raises ``RestrictionError`` when such a rule's right-hand
+side leaves them.  ``minimal.MinimalResolution`` checks at construction that
+the basis of its upward-extended window restricts to exactly the requested
+window's basis, and raises ``RestrictionError`` otherwise.
 
 Reduction strategy (fixed so golden outputs are deterministic): the normal
 form of a word is built by its letters acting, right to left, on the empty
@@ -43,15 +51,7 @@ class RewriteSystemError(FreeAlgebraError):
 
 
 class RestrictionError(FreeAlgebraError):
-    """Subalphabet restriction hypothesis fails for some rule."""
-
-    def __init__(self, rule: "RewriteRule", message: str):
-        super().__init__(message)
-        self.rule = rule
-
-
-class CompletionBudgetError(FreeAlgebraError):
-    """Bounded completion did not stabilize within its round budget."""
+    """A system does not restrict to a subalphabet as required."""
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,6 @@ class RewriteSystem:
         return cls([rule_from_poly(p, order) for p in polys], order, field,
                    alphabet)
 
-    def with_rules(self, rules: Sequence[RewriteRule]) -> "RewriteSystem":
-        return RewriteSystem(rules, self.order, self.field, self.alphabet)
-
     # -- redex search --------------------------------------------------------
 
     def _rule_at(self, chars: str, pos: int) -> Optional[tuple[int, int]]:
@@ -231,9 +228,6 @@ class RewriteSystem:
             if hit is not None:
                 return (pos,) + hit
         return None
-
-    def is_irreducible_word(self, w: Word) -> bool:
-        return self._find_redex(w.chars) is None
 
     # -- normal forms ----------------------------------------------------------
 
@@ -351,9 +345,6 @@ class RewriteSystem:
                                  len(cp.u.chars), cp.case))
         return tuple(out)
 
-    def pair_is_reducible(self, cp: CriticalPair) -> bool:
-        return self.normal_form(spolynomial(self, cp)).is_zero
-
     def is_complete(self) -> CompletenessCertificate:
         """Check every critical pair; failures carry the nonzero residual."""
         failures: list[tuple[Word, Polynomial]] = []
@@ -390,7 +381,7 @@ class RewriteSystem:
             for w in rule.rhs.terms:
                 if not set(w.chars) <= allowed:
                     raise RestrictionError(
-                        rule, f"rule {rule} leaves the subalphabet "
+                        f"rule {rule} leaves the subalphabet "
                         f"(offending monomial {w})")
             kept.append(rule)
         sub_alpha = tuple(g for g in self.alphabet if g.char in allowed)
@@ -426,72 +417,3 @@ class RewriteSystem:
     def __repr__(self) -> str:
         return (f"RewriteSystem({len(self.rules)} rules over "
                 f"{self.field}, {self.order!r})")
-
-
-# --------------------------------------------------------------------------
-# interreduction and bounded completion
-# --------------------------------------------------------------------------
-
-
-def interreduce(system: RewriteSystem) -> RewriteSystem:
-    """Reduce every rule by the others until the basis is reduced.
-
-    Preserves the two-sided ideal generated by the rule polynomials.
-    """
-    order = system.order
-    field = system.field
-    polys = [r.as_polynomial() for r in system.rules]
-    changed = True
-    while changed:
-        changed = False
-        polys.sort(key=lambda q: order.key(q.leading_monomial(order)))
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1:]
-            if not others:
-                continue
-            sub = RewriteSystem.from_polynomials(
-                others, order, field, system.alphabet)
-            reduced = sub.normal_form(polys[i])
-            if reduced.is_zero:
-                del polys[i]
-                changed = True
-                break
-            if reduced != polys[i]:
-                lc = reduced.leading_term(order)[1]
-                polys[i] = reduced.scale(field.invert(lc))
-                changed = True
-                break
-    return RewriteSystem.from_polynomials(polys, order, field,
-                                          system.alphabet)
-
-
-def complete(system: RewriteSystem, deg_bound: int,
-             max_rounds: int = 64) -> RewriteSystem:
-    """Bounded Knuth-Bendix completion.
-
-    Adds oriented residuals of failing critical pairs whose tip has total
-    weight <= deg_bound, interreducing after every batch, until all bounded
-    pairs are reducible.
-    """
-    work = interreduce(system)
-    for _ in range(max_rounds):
-        additions: list[Polynomial] = []
-        seen_lms: set[str] = set()
-        for cp in work.critical_pairs():
-            if cp.tip.degree.norm > deg_bound:
-                continue
-            residual = work.normal_form(spolynomial(work, cp))
-            if residual.is_zero:
-                continue
-            lm = residual.leading_monomial(work.order)
-            if lm.chars in seen_lms:
-                continue
-            seen_lms.add(lm.chars)
-            additions.append(residual)
-        if not additions:
-            return work
-        polys = [r.as_polynomial() for r in work.rules] + additions
-        work = interreduce(RewriteSystem.from_polynomials(
-            polys, work.order, work.field, work.alphabet))
-    raise CompletionBudgetError(
-        f"completion did not stabilize in {max_rounds} rounds")

@@ -33,6 +33,23 @@ def resolution_for(p, m, deg_bound):
     return _RESOLUTIONS[key]
 
 
+def drop_window_rule(monkeypatch, win):
+    """Make ``minimal.small_groebner_basis(win)`` lose its first rule, so
+    that the extended basis no longer restricts to the window basis."""
+    from u3plus import RewriteSystem, minimal
+
+    build = minimal.small_groebner_basis
+
+    def dropping(w):
+        basis = build(w)
+        if w != win:
+            return basis
+        return RewriteSystem(basis.rules[1:], basis.order, basis.field,
+                             basis.alphabet)
+
+    monkeypatch.setattr(minimal, "small_groebner_basis", dropping)
+
+
 @pytest.fixture(scope="session")
 def g21():
     return system_for(2, 1)

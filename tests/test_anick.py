@@ -7,7 +7,6 @@ from u3plus import (
     FieldSpec,
     ModuleElement,
     OrderSpec,
-    Polynomial,
     RewriteSystem,
     Window,
     Word,
@@ -247,10 +246,8 @@ class TestDegreeTables:
     @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
     def test_t1_degrees(self, p, m):
         cx = complex_for(p, m)
-        table = cx.degree_table(1)
+        table = {c: c.degree for c in cx.chains(1)}
         for chain, degree in table.items():
-            k = [g.index for g in chain.word][-1]
-            head = chain.word.letters[0]
             assert degree == expected_degree(chain.word)
         # spot formulas: deg(a_l b_k) = p^l alpha + p^k beta, and the braid
         assert table[cx._t1_by_chars[W(p, ("a", 1), ("b", 0)).chars]] \
@@ -261,7 +258,7 @@ class TestDegreeTables:
     @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
     def test_t2_degrees(self, p, m):
         cx = complex_for(p, m)
-        for chain, degree in cx.degree_table(2).items():
+        for chain, degree in {c: c.degree for c in cx.chains(2)}.items():
             assert degree == expected_degree(chain.word)
 
     def test_braid_power_row(self, cx22):
@@ -270,7 +267,8 @@ class TestDegreeTables:
         assert chain.degree == Degree(3, 3)
 
     def test_level_minus_one(self, cx21):
-        assert cx21.degree_table(-1) == {cx21.e_chain: Degree(0, 0)}
+        assert {c: c.degree for c in cx21.chains(-1)} == {
+            cx21.e_chain: Degree(0, 0)}
 
 
 class TestMatchesW:

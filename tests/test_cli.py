@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from u3plus import AnickComplex, FieldSpec, GradedMatrix, RewriteSystem, \
-    parse_poly
+    Window, parse_poly
 from u3plus import cli
 from u3plus.cli import main
 
-from conftest import complex_for, system_for
+from conftest import complex_for, drop_window_rule, system_for
 
 
 def run(capsys, *argv):
@@ -237,6 +237,15 @@ class TestMinimalCommand:
         assert payload["ext_dims"]["1"] == {"0,1": 1, "1,0": 1}
         assert all(r["exact"] for r in payload["exactness_at_P1_prime"])
 
+    def test_restriction_mismatch_exits_2(self, capsys, monkeypatch):
+        drop_window_rule(monkeypatch, Window(2, 0, 1))
+        code, out, err = run(capsys, "minimal", "--p", "2", "--m", "1",
+                             "--max-deg", "8")
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "does not restrict" in line
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("argv", [
@@ -267,6 +276,7 @@ class TestInputValidation:
 @pytest.mark.parametrize("argv", [
     ("anick", "--p", "2", "--m", "1", "--max-deg", "8"),
     ("minimal", "--p", "2", "--m", "1", "--max-deg", "8"),
+    ("minimal", "--p", "2", "--m", "3", "--j", "1", "--max-deg", "12"),
 ])
 def test_each_matrix_built_once(capsys, monkeypatch, argv):
     """No graded matrix is built twice, and the report prints the very

@@ -3,26 +3,23 @@ import random
 import pytest
 
 from u3plus import (
-    Degree,
     EMPTY_WORD,
     FieldSpec,
-    FreeGradedModule,
     ModuleElement,
     Window,
     Word,
     coefficient_lemma_checks,
-    d2_prime,
     gen_a,
     gen_b,
-    minimality_report,
     radical_membership,
     reduced_chain_sets,
     word,
 )
 from u3plus.anick import AnickComplex, ChainError
 from u3plus.minimal import MinimalResolution, WindowTooSmallError
+from u3plus.rewriting import RestrictionError
 
-from conftest import complex_for, resolution_for
+from conftest import complex_for, drop_window_rule, resolution_for
 
 
 def W2(*letters):
@@ -44,15 +41,6 @@ class TestRadicalMembership:
         for x in cx21.t0:
             assert radical_membership(cx21.d_chain(0, x))
 
-    def test_module_scope_validated(self, cx21):
-        t = cx21.t1[0]
-        module = FreeGradedModule((cx21.t1[1],), cx21.field)
-        x = ModuleElement.basis(word(gen_a(0, 2)), t, cx21.field)
-        with pytest.raises(ValueError):
-            radical_membership(x, module)
-        assert FreeGradedModule(cx21.t1, cx21.field).shifts() == [
-            c.degree for c in cx21.t1]
-
 
 class TestReducedChainSets:
     def test_22_cardinalities(self, cx22):
@@ -73,13 +61,20 @@ class TestReducedChainSets:
         assert "b1*a1*b1*a1" not in words
 
 
+def test_restriction_mismatch_raises(monkeypatch):
+    win = Window(2, 0, 1)
+    drop_window_rule(monkeypatch, win)
+    with pytest.raises(RestrictionError, match="does not restrict"):
+        MinimalResolution(win, 8)
+
+
 class TestD2Prime:
     def test_no_braid_coordinates_left(self):
         res = MinimalResolution(Window(2, 0, 2), 10)
         braids = set(res._braid_chain.values())
         for c in res.t2_prime:
             image = res.d2_prime(c)
-            assert not (image.chains() & braids)
+            assert not ({t for (_, t) in image.terms} & braids)
 
     def test_substitution_matches_construction(self):
         # the braid coordinate r.(b0 a0)^2 of d_2(.b1 a0^2) is replaced by
@@ -133,7 +128,8 @@ class TestD2Prime:
             MinimalResolution(Window(2, 0, 1), 8)
 
     def test_module_map_export(self):
-        mapping = d2_prime(Window(2, 0, 1), 6)
+        res = MinimalResolution(Window(2, 0, 1), 6)
+        mapping = {c: res.d2_prime(c) for c in res.t2_prime}
         assert {str(c.word) for c in mapping} == {
             "a0*a0*a0", "b0*b0*b0", "b0*a0*b0*a0*a0", "b0*b0*a0*b0*a0",
             "b0*a0*b0*a0*b0*a0"}
@@ -293,7 +289,7 @@ def test_smallness_matches_submodule_definition(cx21):
 
 class TestMinimalityReport:
     def test_21_report(self):
-        report = minimality_report(Window(2, 0, 1), 8)
+        report = MinimalResolution(Window(2, 0, 1), 8).report()
         assert report.smallness == {"d0": True, "d1": True, "d2": True}
         assert report.d1_after_d2_zero
         assert all(r.ok for r in report.exactness_at_p1_prime)
@@ -311,7 +307,7 @@ class TestMinimalityReport:
                                 if c.degree.norm <= 12)
 
     def test_json_schema(self):
-        payload = minimality_report(Window(2, 0, 1), 6).to_json()
+        payload = MinimalResolution(Window(2, 0, 1), 6).report().to_json()
         assert payload["ok"] is True
         assert set(payload["smallness"]) == {"d0", "d1", "d2"}
         assert payload["exactness_at_P1_prime"][0]["degree"] == [0, 0]

@@ -12,13 +12,11 @@ from u3plus import (
     RewriteRule,
     RewriteSystem,
     Word,
-    complete,
     divided_alphabet,
     divided_generator,
     find_overlaps,
     gen_a,
     gen_b,
-    interreduce,
     parse_poly,
     rule_from_poly,
     small_window_alphabet,
@@ -33,6 +31,10 @@ from conftest import system_for
 F2 = FieldSpec(2)
 A0, B0 = gen_a(0, 2), gen_b(0, 2)
 A1, B1 = gen_a(1, 2), gen_b(1, 2)
+
+
+def _irreducible(system, w):
+    return system.reduce_once(Polynomial.monomial(w, system.field)) is None
 
 
 def toy_system():
@@ -176,11 +178,12 @@ class TestCriticalPairs:
         bad = pairs["a0*b0*a0"]
         residual = system.normal_form(spolynomial(system, bad))
         assert residual == parse_poly("-a0*a0", F2)
-        assert not system.pair_is_reducible(bad)
-        assert system.pair_is_reducible(pairs["b0*a0*b0"])
+        good = spolynomial(system, pairs["b0*a0*b0"])
+        assert system.normal_form(good).is_zero
 
     def test_complete_system_pairs_all_reducible(self, g22):
-        assert all(g22.pair_is_reducible(cp) for cp in g22.critical_pairs())
+        assert all(g22.normal_form(spolynomial(g22, cp)).is_zero
+                   for cp in g22.critical_pairs())
 
 
 class TestCompletenessCertificates:
@@ -279,40 +282,9 @@ class TestIrreducibleWords:
             every.extend((chars + ch, norm + dn) for ch, dn in letters
                          if norm + dn <= bound)
         expected = sorted((Word(chars) for chars, _ in every
-                           if system.is_irreducible_word(Word(chars))),
+                           if _irreducible(system, Word(chars))),
                           key=system.order.key)
         assert system.irreducible_words(bound) == expected
-
-
-class TestCompletion:
-    def test_already_complete_unchanged(self, g21):
-        done = complete(g21, 8)
-        assert {r.lhs for r in done.rules} == {r.lhs for r in g21.rules}
-
-    def test_toy_completion_adds_square(self):
-        done = complete(toy_system(), 4)
-        rules = {str(r) for r in done.rules}
-        assert rules == {"a0*b0 -> 0", "b0*a0 -> a0", "a0*a0 -> 0"}
-        assert done.is_complete().complete
-
-    def test_braid_rule_rediscovered(self, g22):
-        # drop the index-0 braid rule; its tip a1 b0^2 resolves only through
-        # it, so bounded completion recovers exactly the original basis
-        braid = word(B0, A0, B0, A0)
-        polys = [r.as_polynomial() for r in g22.rules if r.lhs != braid]
-        pruned = RewriteSystem.from_polynomials(
-            polys, g22.order, g22.field, g22.alphabet)
-        recovered = complete(pruned, 8)
-        assert {str(r) for r in recovered.rules} == {str(r)
-                                                     for r in g22.rules}
-
-    def test_interreduce_drops_redundant(self, g21):
-        extra = parse_poly("a0*a0*b0", F2)  # already reducible to 0
-        polys = [r.as_polynomial() for r in g21.rules] + [extra]
-        fat = RewriteSystem.from_polynomials(polys, g21.order, g21.field,
-                                             g21.alphabet)
-        slim = interreduce(fat)
-        assert {r.lhs for r in slim.rules} == {r.lhs for r in g21.rules}
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +448,8 @@ def test_letter_action_memo_bound(name):
     its size is at most |alphabet| x |irreducible words| of the weight
     reached."""
     base = _nf_system(name)
-    system = base.with_rules(base.rules)  # a fresh, empty memo
+    # a fresh, empty memo
+    system = RewriteSystem(base.rules, base.order, base.field, base.alphabet)
     letters = [g.char for g in system.alphabet]
     frontier = [""]
     for _ in range(6):
@@ -485,7 +458,7 @@ def test_letter_action_memo_bound(name):
         system.normal_form_word(Word(chars))
     keys = list(system._action)
     assert keys
-    assert all(k[0] in letters and system.is_irreducible_word(Word(k[1:]))
+    assert all(k[0] in letters and _irreducible(system, Word(k[1:]))
                for k in keys)
     reached = max(Word(k).degree.norm for k in keys)
     irreducible = system.irreducible_words(reached)
