@@ -15,6 +15,13 @@ builds:
       d_{n+1}(.t) = delta_{n+1}(.t) - i_n(d_n(delta_{n+1}(.t)))
       i_n(f)      = j_n(lt f) + i_n(f - d_n(j_n(lt f))),   i_0 = j_0
 
+  The splitting i_n terminates because d_n(j_n(lt f)) has leading term lt f,
+  so each step strictly lowers the leading term (D. J. Anick, Trans. AMS 296,
+  1986).  The basis order compares total weight first, so only finitely many
+  basis elements lie below any one of them; :meth:`AnickComplex.splitting`
+  checks the descent at every step and raises :class:`SplittingError` at the
+  first step that does not descend.
+
 * degree-by-degree matrices of the differentials with exact rank checks that
   certify the complex is exact at P_0 and P_1 in every tested degree.
 
@@ -331,10 +338,6 @@ class AnickComplex:
         self._words_by_degree = by_degree
         self._words_bound = norm_bound
 
-    def irreducible_of_degree(self, degree: Degree) -> list[Word]:
-        self._ensure_words(degree.norm)
-        return self._words_by_degree.get(degree, [])
-
     def pair_key(self, m: Word, chain: Chain):
         """Basis order on m.t via the word mt, ties broken by t (which with
         mt determines m)."""
@@ -355,20 +358,12 @@ class AnickComplex:
             if rest.alpha < 0 or rest.beta < 0:
                 continue
             chain_key[t] = key(t.word.chars)
-            for m in self.irreducible_of_degree(rest):
+            self._ensure_words(rest.norm)
+            for m in self._words_by_degree.get(rest, ()):
                 out.append((m, t))
         out.sort(key=lambda mt: (key(mt[0].chars + mt[1].word.chars),
                                  chain_key[mt[1]]), reverse=True)
         return out
-
-    def module_dimension(self, level: int, degree: Degree) -> int:
-        """dim (P_level)_degree."""
-        total = 0
-        for t in self.chains(level):
-            rest = degree - t.degree
-            if rest.alpha >= 0 and rest.beta >= 0:
-                total += len(self.irreducible_of_degree(rest))
-        return total
 
     # -- the maps -------------------------------------------------------------
 
@@ -508,9 +503,10 @@ class AnickComplex:
         """i_n on ker(d_{n-1}) (ker of the augmentation for n = 0).
 
         Implemented as a worklist that strips the leading basis term with
-        j_n and subtracts the corresponding boundary; the leading term drops
-        strictly at every step, and a step budget converts any
-        non-termination bug into an error.
+        j_n and subtracts the corresponding boundary.  The leading term must
+        drop strictly at every step, in the order of :meth:`pair_key`, which
+        bounds the number of steps; a step that does not descend raises
+        :class:`SplittingError`.
         """
         if f.level != n - 1:
             raise ValueError(f"element of level {f.level} fed to i_{n}")
@@ -523,17 +519,17 @@ class AnickComplex:
                     raise SplittingError("element is not in ker(augmentation)")
                 out[(Word(m.chars[:-1]), self._t0_by_char[m.chars[-1]])] = c
             return ModuleElement(0, out, field, _clean=True)
-        budget = 16
-        for d in f.degrees():
-            budget += 4 * max(1, self.module_dimension(n, d))
         result = ModuleElement.zero(n, field)
         work = f
+        previous = None
         while not work.is_zero:
-            budget -= 1
-            if budget < 0:
-                raise SplittingError(
-                    "splitting recursion exceeded its step budget")
             (m, t), c = self.leading_basis_term(work)
+            lead = self.pair_key(m, t)
+            if previous is not None and lead >= previous:
+                raise SplittingError(
+                    f"leading term {m}.{t.word} is not below the previous "
+                    f"step's leading term; i_{n} does not descend")
+            previous = lead
             image = self.jmap(n, m, t)
             if image is None:
                 raise SplittingError(

@@ -280,8 +280,10 @@ class MinimalResolution:
                 if r.d2_prime.row_labels and r.d2_prime.col_labels]
 
     def ext_dimensions(self) -> dict:
-        """Graded generator counts of the minimal steps: Ext^1 from T_0,
-        Ext^2 from T'_1, Ext^3 from T'_2 (requested window, weight-bounded)."""
+        """Graded generator counts of the minimal steps (requested window,
+        weight-bounded): Ext^1 from T_0 and Ext^2 from T'_1.  The Ext^3 row
+        counts T'_2 chains, an upper bound per bidegree that is not
+        certified: only d'_2 is certified small, not d_3 on T'_2."""
         out: dict[int, dict] = {1: {}, 2: {}, 3: {}}
         for i, chains in ((1, self.t0), (2, self.t1_prime),
                           (3, self.t2_prime)):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,7 @@ from u3plus import (
 from u3plus.anick import AnickComplex, GradedMatrix, SplittingError, sparse_rank
 from u3plus.minimal import MinimalResolution
 
-from conftest import complex_for
+from conftest import complex_for, system_for
 
 
 def a(k, p):
@@ -396,11 +398,17 @@ class TestSplitting:
         assert cx21.splitting(1, zero).is_zero
 
     def test_section_property(self, cx22):
-        # i_1 is a section of d_1 on boundaries
-        for t in cx22.t2:
-            boundary = cx22.d(1, cx22.d_chain(2, t))
+        # i_1 is a section of d_1 on boundaries; the boundary of a whole
+        # graded basis of P_1 takes the splitting several steps
+        lift_sizes = []
+        for degree in cx22.relevant_degrees(6):
+            x = ModuleElement(1, dict.fromkeys(cx22.basis(1, degree), 1),
+                              cx22.field)
+            boundary = cx22.d(1, x)
             lifted = cx22.splitting(1, boundary)
             assert cx22.d(1, lifted) == boundary
+            lift_sizes.append(len(lifted.terms))
+        assert max(lift_sizes) > 1
 
     def test_non_boundary_rejected(self, cx21):
         x = cx21.t0[0]
@@ -412,6 +420,26 @@ class TestSplitting:
         f = ModuleElement.basis(EMPTY_WORD, cx21.e_chain, cx21.field)
         with pytest.raises(SplittingError):
             cx21.splitting(0, f)
+
+    def test_non_descending_step_rejected(self, monkeypatch):
+        # a j_1 that returns twice the true lift leaves -lt f as the next
+        # leading term, so the second step does not descend
+        cx = AnickComplex(system_for(3, 1))
+        t = cx.t1[0]
+        f = cx.d_chain(1, t)
+        (m, lead), _c = cx.leading_basis_term(f)
+        calls = []
+        jmap = cx.jmap
+
+        def doubled(n, mm, chain):
+            calls.append((n, mm, chain))
+            return jmap(n, mm, chain).scale(2)
+
+        monkeypatch.setattr(cx, "jmap", doubled)
+        with pytest.raises(SplittingError, match=re.escape(
+                f"leading term {m}.{lead.word} is not below")):
+            cx.splitting(1, f)
+        assert 1 <= len(calls) <= 2
 
 
 class TestComplexAndExactness:
@@ -435,16 +463,6 @@ class TestComplexAndExactness:
                 basis = cx22.basis(level, degree)
                 keys = [cx22.pair_key(m, t) for m, t in basis]
                 assert len(set(keys)) == len(keys)
-
-    @pytest.mark.parametrize("p,bound", [(2, 8), (3, 12)])
-    def test_module_dimension_counts_basis(self, p, bound):
-        cx = complex_for(p, 1)
-        for total in range(bound + 1):
-            for alpha in range(total + 1):
-                degree = Degree(alpha, total - alpha)
-                for level in (-1, 0, 1, 2):
-                    assert cx.module_dimension(level, degree) == len(
-                        cx.basis(level, degree)), (level, degree)
 
     def test_requires_reduced_system(self):
         alphabet = small_window_alphabet(2, 0, 1)

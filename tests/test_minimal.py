@@ -137,9 +137,11 @@ class TestD2Prime:
 
 
 class TestCoefficientChecks:
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_all_pass(self, p):
-        checks = coefficient_lemma_checks(Window(p, 0, 1))
+    @pytest.mark.parametrize("p,m", [
+        pytest.param(2, 1, id="2"), pytest.param(3, 1, id="3"),
+        pytest.param(5, 1, id="5"), (7, 2), (5, 3)])
+    def test_all_pass(self, p, m):
+        checks = coefficient_lemma_checks(Window(p, 0, m))
         assert checks
         assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
@@ -321,7 +323,7 @@ def test_dimensions_read_off_the_ranked_matrices(p, bound):
     cx = complex_for(p, 1)
     for r in cx.exactness_check(bound):
         for level in (-1, 0, 1, 2):
-            assert r.dims[level] == cx.module_dimension(level, r.degree)
+            assert r.dims[level] == len(cx.basis(level, r.degree))
     res = resolution_for(p, 1, bound)
     reports = res.exactness_at_p1_prime()
     assert reports
