@@ -272,7 +272,6 @@ class AnickComplex:
         self._t0_by_char = {c.word.chars: c for c in self.t0}
         self.t1 = tuple(Chain(1, r.lhs) for r in system.rules)
         self._t1_by_chars = {c.word.chars: c for c in self.t1}
-        self._check_antichain()
         self.t2 = self._build_t2()
         self._t2_by_chars = {c.word.chars: c for c in self.t2}
         self._d_memo: dict[tuple[int, Chain], ModuleElement] = {}
@@ -284,21 +283,12 @@ class AnickComplex:
 
     # -- chain sets ---------------------------------------------------------
 
-    def _check_antichain(self) -> None:
-        for c1 in self.t1:
-            for c2 in self.t1:
-                if c1 is not c2 and c1.word.is_factor_of(c2.word):
-                    raise ChainError(
-                        f"T1 is not an anti-chain: {c1.word} divides {c2.word}")
-
     def _build_t2(self) -> tuple[Chain, ...]:
         tips: dict[str, tuple[Word, Word, Word]] = {}
         for r1 in self.system.rules:
             for r2 in self.system.rules:
-                for tip, u, v, case in find_overlaps(r1.lhs, r2.lhs):
-                    if case != "overlap":
-                        raise ChainError(
-                            "containment overlap in a reduced system")
+                # no lhs contains another, so these are all overlaps
+                for tip, u, _v, _case in find_overlaps(r1.lhs, r2.lhs):
                     prev = tips.get(tip.chars)
                     if prev is not None and (prev[1].chars != u.chars
                                              or prev[2].chars != r2.lhs.chars):

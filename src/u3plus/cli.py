@@ -214,6 +214,9 @@ def cmd_nf(args) -> int:
     if small or not divided:
         if args.char0:
             raise UsageError("the window basis needs characteristic p")
+        if args.bound is not None:
+            raise UsageError("--bound applies only to expressions in the "
+                             "divided alphabet")
         system = small_groebner_basis(win)
     else:
         bound = _bound(args, win)
@@ -232,6 +235,8 @@ def cmd_gb(args) -> int:
     win = _window(args)
     if args.big:
         system = _big_system(win.field, args, win, truncated=True)
+    elif args.bound is not None:
+        raise UsageError("--bound applies only to --big")
     else:
         system = small_groebner_basis(win)
     cert = system.is_complete()

@@ -150,10 +150,6 @@ class Generator:
         return self.token
 
 
-def generator_for_char(char: str) -> Generator:
-    return _BY_CHAR[ord(char) - _CHAR_BASE]
-
-
 def gen_a(k: int, p: int) -> Generator:
     """The generator a_k of weight (p^k, 0)."""
     if not is_prime(p):
@@ -269,9 +265,6 @@ class Word:
     @property
     def is_empty(self) -> bool:
         return not self.chars
-
-    def is_factor_of(self, other: "Word") -> bool:
-        return self.chars in other.chars
 
     def power(self, n: int) -> "Word":
         return Word(self.chars * n)

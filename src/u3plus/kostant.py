@@ -41,7 +41,6 @@ from .free_algebra import (
     divided_generator,
     gen_a,
     gen_b,
-    generator_for_char,
     is_prime,
     small_window_alphabet,
 )
@@ -217,61 +216,26 @@ def _letter_monomial(g: Generator) -> DividedMonomial:
     return DividedMonomial(0, 0, g.index)
 
 
-def _evaluate_terms(terms, field: FieldSpec) -> KostantElement:
-    """Sum of c * (value of w) over the (w, c) pairs of ``terms``.
-
-    Words are walked in the given order.  ``stack[i]`` is the value of the
-    first i letters of the previous word, so a word only multiplies out the
-    letters after the prefix it shares with its predecessor.  Letters are
-    applied on the right, one at a time, through a memo of basis-times-letter
-    products that lives for this call only.  A partial product of zero ends
-    its word (and every later word with that prefix): only the last stack
-    entry can be zero.
-    """
-    memo: dict[tuple[DividedMonomial, str], dict] = {}
-    p = field.characteristic
-    out: dict[DividedMonomial, Coefficient] = {}
-    stack: list[dict] = [{UNIT_MONOMIAL: field.coerce(1)}]
-    prev = ""
-    for w, c in terms:
-        chars = w.chars
-        k, n = 0, min(len(stack) - 1, len(chars))
-        while k < n and chars[k] == prev[k]:
-            k += 1
-        del stack[k + 1:]
-        value = stack[k]
-        for x in chars[k:]:
-            if not value:
-                break
-            step: dict[DividedMonomial, Coefficient] = {}
-            for mono, a in value.items():
-                prod = memo.get((mono, x))
-                if prod is None:
-                    prod = memo[(mono, x)] = _mul_basis(
-                        mono, _letter_monomial(generator_for_char(x)), field)
-                _add_scaled(step, prod, a, p)
-            value = step
-            stack.append(value)
-        prev = chars
-        _add_scaled(out, value, c, p)
-    return KostantElement(out, field, _clean=True)
-
-
 def evaluate_word(w: Word, field: FieldSpec) -> KostantElement:
-    """The evaluation homomorphism on monomials: the product of the letters'
-    basis monomials (see :func:`_letter_monomial`), in the word's order."""
-    return _evaluate_terms(((w, field.coerce(1)),), field)
+    """The evaluation homomorphism on monomials: the product, in the word's
+    order, of the letters' basis monomials (see :func:`_letter_monomial`)."""
+    factors = [KostantElement.basis(_letter_monomial(g), field) for g in w]
+    if not factors:
+        return KostantElement.one(field)
+    # start from the first factor, not from 1: rule words have two or three
+    # letters, and one more product per word would add a third to a half
+    return math.prod(factors[1:], start=factors[0])
 
 
 def evaluate_poly(f: Polynomial) -> KostantElement:
-    """Linear extension of :func:`evaluate_word`.
-
-    The terms are evaluated in their stored order, and a word reuses the
-    partial products of the prefix it shares with the previous word, so
-    polynomials whose words share long prefixes (such as products of
-    polynomials) cost far less than one product chain per word.
-    """
-    return _evaluate_terms(f.items(), f.field)
+    """Linear extension of :func:`evaluate_word`: the sum of c * (value of
+    w) over the terms c*w of f."""
+    field = f.field
+    out: dict[DividedMonomial, Coefficient] = {}
+    for w, c in f.items():
+        _add_scaled(out, evaluate_word(w, field).terms, c,
+                    field.characteristic)
+    return KostantElement(out, field, _clean=True)
 
 
 # --------------------------------------------------------------------------
@@ -473,20 +437,13 @@ def big_rewrite_system(field: FieldSpec, bound: int,
                 rhs = rhs + mono(letters, -1 if j % 2 else 1)
             rules.append(rule_from_poly(mono([eb(k), ea(l)]) - rhs, order))
 
-    # dedup (merge rules for (k,l) and (l,k) share a lhs only when k == l)
-    seen: set[str] = set()
-    unique: list[RewriteRule] = []
     for rule in rules:
-        if rule.lhs.chars not in seen:
-            seen.add(rule.lhs.chars)
-            unique.append(rule)
-    for rule in unique:
         lhs_val = evaluate_word(rule.lhs, field)
         rhs_val = evaluate_poly(rule.rhs)
         if lhs_val != rhs_val:
             raise OracleError(f"big rule {rule} disagrees with the oracle")
-    unique.sort(key=lambda r: order.key(r.lhs))
-    return RewriteSystem(unique, order, field, divided_alphabet(bound))
+    rules.sort(key=lambda r: order.key(r.lhs))
+    return RewriteSystem(rules, order, field, divided_alphabet(bound))
 
 
 # --------------------------------------------------------------------------

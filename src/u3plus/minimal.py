@@ -376,17 +376,10 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
                 f"{name} at .a{k + 1}*b{k + 1}", "0", str(got), got == 0))
 
     # equal weight, larger chain word: the coefficient always vanishes
-    order = cx.order
-    for t2 in cx.t2:
-        image = None
-        for t1 in cx.t1:
-            if t1.degree != t2.degree:
-                continue
-            if not order.key(t1.word) > order.key(t2.word):
-                continue
-            if image is None:
-                image = cx.d_chain(2, t2)
-            got = image.coefficient(EMPTY_WORD, t1)
+    key = cx.order.key
+    for t1, t2 in sorted(cx.matches_w(), key=lambda pair: key(pair[1].word)):
+        if key(t1.word) > key(t2.word):
+            got = cx.d_chain(2, t2).coefficient(EMPTY_WORD, t1)
             checks.append(CoefficientCheck(
                 f"d2(.{t2.word}) at larger .{t1.word}", "0", str(got),
                 got == 0))

@@ -332,14 +332,9 @@ class RewriteSystem:
     def critical_pairs(self) -> tuple[CriticalPair, ...]:
         """All overlaps and containments between ordered rule pairs."""
         out: list[CriticalPair] = []
-        seen: set[tuple] = set()
         for i, r1 in enumerate(self.rules):
             for j, r2 in enumerate(self.rules):
                 for tip, u, v, case in find_overlaps(r1.lhs, r2.lhs):
-                    key = (tip.chars, i, j, u.chars, case)
-                    if key in seen:
-                        continue
-                    seen.add(key)
                     out.append(CriticalPair(tip, i, j, u, v, case))
         out.sort(key=lambda cp: (self.order.key(cp.tip), cp.rule1, cp.rule2,
                                  len(cp.u.chars), cp.case))

@@ -202,7 +202,7 @@ class TestChainSets:
         for c1 in cx22.t1:
             for c2 in cx22.t1:
                 if c1 is not c2:
-                    assert not c1.word.is_factor_of(c2.word)
+                    assert c1.word.chars not in c2.word.chars
 
     def test_t2_decompositions_unique_and_valid(self, cx31):
         t1_words = {c.word.chars for c in cx31.t1}
@@ -217,7 +217,7 @@ class TestChainSets:
     def test_t2_tips_are_minimal_critical_tips(self, cx22):
         tips = {cp.tip for cp in cx22.system.critical_pairs()}
         minimal = {t for t in tips
-                   if not any(o != t and o.is_factor_of(t) for o in tips)}
+                   if not any(o != t and o.chars in t.chars for o in tips)}
         assert {c.word for c in cx22.t2} == minimal
 
     def test_boundary_tips_are_forced(self, cx31):
@@ -472,7 +472,7 @@ class TestComplexAndExactness:
         system = RewriteSystem.from_polynomials(polys, order, FieldSpec(2),
                                                 alphabet)
         from u3plus.anick import ChainError
-        with pytest.raises(ChainError):
+        with pytest.raises(ChainError, match="reduced basis"):
             AnickComplex(system)
 
 

@@ -272,6 +272,20 @@ class TestInputValidation:
         assert code == 2
         assert err.startswith("error: --bound: truncated bound")
 
+    @pytest.mark.parametrize("argv,applies_to", [
+        (("gb", "--p", "2", "--m", "1", "--bound", "2"), "--big"),
+        (("nf", "--p", "3", "--m", "1", "--bound", "5", "b0*a0"),
+         "divided alphabet"),
+    ])
+    def test_bound_without_big_system_rejected(self, capsys, argv,
+                                               applies_to):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --bound applies only to ")
+        assert applies_to in err
+        assert err.count("\n") == 1
+
 
 @pytest.mark.parametrize("argv", [
     ("anick", "--p", "2", "--m", "1", "--max-deg", "8"),

@@ -252,6 +252,21 @@ class TestBigSystem:
         assert system.is_complete().complete
         assert len(system.irreducible_words(4 * bound)) == p**(3 * m)
 
+    @pytest.mark.parametrize("p,bound,truncates", [
+        (2, 3, True), (3, 8, True), (0, 4, False), (3, 5, False)])
+    def test_rule_count(self, p, bound, truncates):
+        # every (k, l) in 1..bound gives two silent commutations and one
+        # straightening rule, plus three merges when k + l <= bound or the
+        # system is truncated; no two of these share a left-hand side
+        field = FieldSpec(p)
+        inside = sum(1 for k in range(1, bound + 1)
+                     for l in range(1, bound + 1) if k + l <= bound)
+        system = big_rewrite_system(field, bound)
+        assert len(system.rules) == 3 * inside + 3 * bound**2
+        if truncates:
+            system = big_rewrite_system(field, bound, truncated=True)
+            assert len(system.rules) == 6 * bound**2
+
     def test_truncation_needs_prime_power_bound(self):
         with pytest.raises(ValueError):
             big_rewrite_system(F2, 2, truncated=True)
@@ -303,8 +318,6 @@ def test_normal_form_preserves_oracle_value(p, m):
                    for _ in range(rng.randrange(0, 7))])
         if w.degree.norm > 3 * p * p:
             continue
-        f = parse_poly("1", field) if w.is_empty else None
-        from u3plus import Polynomial
         f = Polynomial.monomial(w, field)
         assert evaluate_poly(system.normal_form(f)) == evaluate_word(w, field)
 
@@ -330,7 +343,7 @@ def test_irreducible_words_have_independent_images(p, m):
 
 
 # ---------------------------------------------------------------------------
-# the evaluation core against the reference product
+# the evaluation homomorphism against a reference product
 # ---------------------------------------------------------------------------
 
 EVAL_ALPHABETS = {
@@ -367,7 +380,7 @@ def reference_value(f):
 def shared_prefix_polys(draw):
     """A polynomial whose words share prefixes, with pairs of terms that
     cancel in the algebra (two commuting letters swapped, opposite
-    coefficients), in the insertion order the evaluation walks."""
+    coefficients), so its value depends on the cancellation being exact."""
     alphabet = EVAL_ALPHABETS[draw(st.sampled_from(sorted(EVAL_ALPHABETS)))]
     field = draw(st.sampled_from([F2, F3, QQ]))
     letters = st.lists(st.sampled_from(alphabet), max_size=4)
@@ -407,8 +420,8 @@ def test_evaluation_of_empty_word_and_zero(field):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_evaluation_past_a_zero_prefix(p):
-    # a0^p vanishes, so every word through it is dropped; words that branch
-    # off before it still count
+    # a0^p vanishes, so every word through it evaluates to 0; words that
+    # avoid it still count
     field = FieldSpec(p)
     a, b = gen_a(0, p), gen_b(0, p)
     dead = [a] * p + [b]

@@ -181,6 +181,19 @@ class TestCriticalPairs:
         good = spolynomial(system, pairs["b0*a0*b0"])
         assert system.normal_form(good).is_zero
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda g22: g22, id="g22"),
+        pytest.param(lambda g22: big_rewrite_system(FieldSpec(3), 8,
+                                                    truncated=True),
+                     id="big-F3-8"),
+    ])
+    def test_no_pair_listed_twice(self, g22, make):
+        pairs = make(g22).critical_pairs()
+        keys = {(cp.tip.chars, cp.rule1, cp.rule2, cp.u.chars, cp.case)
+                for cp in pairs}
+        assert len(keys) == len(pairs)
+        assert pairs
+
     def test_complete_system_pairs_all_reducible(self, g22):
         assert all(g22.normal_form(spolynomial(g22, cp)).is_zero
                    for cp in g22.critical_pairs())
