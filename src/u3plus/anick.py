@@ -5,15 +5,21 @@ algebra (every generator maps to 0 under the augmentation), this module
 builds:
 
 * the chain sets T_{-1} = {empty word}, T_0 = generators, T_1 = rule leading
-  monomials, T_2 = tips of minimal overlaps between T_1 elements;
+  monomials, T_2 = tips of minimal overlaps between T_1 elements.  An
+  n-chain is a word u.c ending in an (n-1)-chain c, its tail.  A word has at
+  most one suffix in T_n: two would be nested, so one would be a factor of
+  the other, yet T_0 is letters, T_1 is an antichain (the basis is reduced)
+  and T_2 keeps only minimal tips;
 * the free modules P_n on those chains, with K-basis m.t (m an irreducible
   word, t a chain), ordered through m.t -> mt;
-* the maps delta_n / j_n and the mutually recursive differentials d_n and
-  splittings i_n:
+* the maps delta_n / j_n, both read off that one suffix, and the mutually
+  recursive differentials d_n and splittings i_n:
 
-      d_0(.t)     = delta_0(.t)
-      d_{n+1}(.t) = delta_{n+1}(.t) - i_n(d_n(delta_{n+1}(.t)))
-      i_n(f)      = j_n(lt f) + i_n(f - d_n(j_n(lt f))),   i_0 = j_0
+      delta_n(m.uc) = NF(mu).c            (c the tail of the n-chain uc)
+      j_n(m.t)      = u.vt                (m = uv, vt the n-chain ending mt)
+      d_0(.t)       = delta_0(.t)
+      d_{n+1}(.t)   = delta_{n+1}(.t) - i_n(d_n(delta_{n+1}(.t)))
+      i_n(f)        = j_n(lt f) + i_n(f - d_n(j_n(lt f)))
 
   The splitting i_n terminates because d_n(j_n(lt f)) has leading term lt f,
   so each step strictly lowers the leading term (D. J. Anick, Trans. AMS 296,
@@ -65,18 +71,17 @@ class SplittingError(FreeAlgebraError):
 class Chain:
     """A module generator .t at one level of the resolution.
 
-    Level 2 chains carry their unique minimal-overlap decomposition
-    ``word = m1.v = u.m2`` as the pair (u, right_lhs = m2).
+    An n-chain with n >= 0 is a word u.c ending in its tail c, the one
+    (n-1)-chain that is a suffix of it; the level -1 chain has no tail.
+    Level and word determine the tail, so equality ignores it.
     """
 
     level: int
     word: Word
-    u: Optional[Word] = None
-    right_lhs: Optional[Word] = None
+    tail: Optional[Chain] = dc_field(default=None, compare=False)
 
     def __post_init__(self):
-        # chains key every memo, so hash once; equal chains share level
-        # and word, so this agrees with the field-wise equality
+        # chains key every memo, so hash once, on the fields equality reads
         object.__setattr__(self, "_hash", hash((self.level, self.word.chars)))
 
     def __hash__(self) -> int:
@@ -268,12 +273,19 @@ class AnickComplex:
         self.order = system.order
         self.field = system.field
         self.e_chain = Chain(-1, EMPTY_WORD)
-        self.t0 = tuple(Chain(0, Word(g.char)) for g in system.alphabet)
-        self._t0_by_char = {c.word.chars: c for c in self.t0}
-        self.t1 = tuple(Chain(1, r.lhs) for r in system.rules)
-        self._t1_by_chars = {c.word.chars: c for c in self.t1}
+        self.t0 = tuple(Chain(0, Word(g.char), self.e_chain)
+                        for g in system.alphabet)
+        by_char = {c.word.chars: c for c in self.t0}
+        if any(r.lhs.chars[-1:] not in by_char for r in system.rules):
+            raise ChainError("a leading monomial is constant or leaves the "
+                             "alphabet")
+        self._by_chars: dict[int, dict[str, Chain]] = {
+            -1: {"": self.e_chain}, 0: by_char}
+        self.t1 = tuple(Chain(1, r.lhs, by_char[r.lhs.chars[-1]])
+                        for r in system.rules)
+        self._by_chars[1] = {c.word.chars: c for c in self.t1}
         self.t2 = self._build_t2()
-        self._t2_by_chars = {c.word.chars: c for c in self.t2}
+        self._by_chars[2] = {c.word.chars: c for c in self.t2}
         self._d_memo: dict[tuple[int, Chain], ModuleElement] = {}
         # (n, chain, dmap) -> m chars -> m.d_n(t) or m.dmap(t), grouped;
         # the key "" holds the image of .t itself
@@ -284,30 +296,25 @@ class AnickComplex:
     # -- chain sets ---------------------------------------------------------
 
     def _build_t2(self) -> tuple[Chain, ...]:
-        tips: dict[str, tuple[Word, Word, Word]] = {}
+        tips: dict[str, Chain] = {}
         for r1 in self.system.rules:
             for r2 in self.system.rules:
-                # no lhs contains another, so these are all overlaps
-                for tip, u, _v, _case in find_overlaps(r1.lhs, r2.lhs):
-                    prev = tips.get(tip.chars)
-                    if prev is not None and (prev[1].chars != u.chars
-                                             or prev[2].chars != r2.lhs.chars):
-                        raise ChainError(
-                            f"ambiguous overlap decomposition for {tip}")
-                    tips[tip.chars] = (tip, u, r2.lhs)
-        minimal: list[Chain] = []
-        all_tips = list(tips.values())
-        for tip, u, m2 in all_tips:
-            if any(other.chars != tip.chars and other.chars in tip.chars
-                   for other, _, _ in all_tips):
-                continue
-            minimal.append(Chain(2, tip, u=u, right_lhs=m2))
+                # no lhs contains another: all overlaps, ending in r2.lhs
+                for tip, _u, _v, _case in find_overlaps(r1.lhs, r2.lhs):
+                    tips[tip.chars] = Chain(2, tip, self.chain(1, r2.lhs))
+        minimal = [c for chars, c in tips.items()
+                   if not any(other != chars and other in chars
+                              for other in tips)]
         minimal.sort(key=lambda c: self.order.key(c.word))
         return tuple(minimal)
 
     def chains(self, level: int) -> tuple[Chain, ...]:
         return {-1: (self.e_chain,), 0: self.t0, 1: self.t1,
                 2: self.t2}[level]
+
+    def chain(self, level: int, w: Word) -> Optional[Chain]:
+        """The chain of the given level with word w, or None."""
+        return self._by_chars[level].get(w.chars)
 
     def matches_w(self) -> list[tuple[Chain, Chain]]:
         """All (t1, t2) chain pairs of equal weight."""
@@ -377,52 +384,28 @@ class AnickComplex:
         return out
 
     def delta(self, n: int, m: Word, chain: Chain) -> ModuleElement:
-        """delta_n on the basis element m.t."""
-        field = self.field
-        if n == 0:
-            nf = self.system.normal_form_word(Word(m.chars + chain.word.chars))
-            return ModuleElement(
-                -1, {(w, self.e_chain): c for w, c in nf.items()}, field)
-        if n == 1:
-            head = chain.word.chars[:-1]
-            x = self._t0_by_char[chain.word.chars[-1]]
-            nf = self.system.normal_form_word(Word(m.chars + head))
-            return ModuleElement(0, {(w, x): c for w, c in nf.items()}, field)
-        if n == 2:
-            u = chain.u
-            m2 = self._t1_by_chars[chain.right_lhs.chars]
-            nf = self.system.normal_form_word(Word(m.chars + u.chars))
-            return ModuleElement(1, {(w, m2): c for w, c in nf.items()}, field)
-        raise ValueError(f"no delta at level {n}")
+        """delta_n(m.uc) = NF(mu).c, where c is the tail of the n-chain uc."""
+        tail = chain.tail
+        if chain.level != n or tail is None:
+            raise ValueError(f"no delta_{n} on {chain!r}")
+        u = chain.word.chars[:len(chain.word.chars) - len(tail.word.chars)]
+        nf = self.system.normal_form_word(Word(m.chars + u))
+        return ModuleElement(n - 1, {(w, tail): c for w, c in nf.items()},
+                             self.field)
 
     def jmap(self, n: int, m: Word, chain: Chain) -> Optional[ModuleElement]:
         """j_n on the basis element m.(chain); None encodes 0.
 
-        j_0(ux.e) = u.x; j_1(m.x) = u.vx when m = uv with vx in T_1;
-        j_2(m.t) = u.vt when m = uv with vt in T_2.  Factorizations are
-        unique because T_1 is an anti-chain and T_2 tips are minimal.
+        j_n(m.t) = u.vt when m = uv and vt is an n-chain (its tail is t).
+        A word has at most one n-chain suffix, so the first found is it.
         """
-        field = self.field
-        if n == 0:
-            if m.is_empty:
-                return None
-            x = self._t0_by_char[m.chars[-1]]
-            return ModuleElement.basis(Word(m.chars[:-1]), x, field)
-        lookup = self._t1_by_chars if n == 1 else self._t2_by_chars
-        suffix = chain.word.chars
-        hits: list[tuple[str, str]] = []
-        for i in range(len(m.chars) + 1):
-            cand = m.chars[i:] + suffix
-            if cand in lookup:
-                hits.append((m.chars[:i], cand))
-        if not hits:
-            return None
-        if len(hits) > 1:
-            raise ChainError(
-                f"ambiguous factorization of {m}.{chain.word}: basis not "
-                f"reduced")
-        u, cand = hits[0]
-        return ModuleElement.basis(Word(u), lookup[cand], field)
+        lookup = self._by_chars[n]
+        chars, suffix = m.chars, chain.word.chars
+        for i in range(len(chars), -1, -1):
+            hit = lookup.get(chars[i:] + suffix)
+            if hit is not None:
+                return ModuleElement.basis(Word(chars[:i]), hit, self.field)
+        return None
 
     def d_chain(self, n: int, chain: Chain) -> ModuleElement:
         """d_n(.t), memoized."""
@@ -430,11 +413,9 @@ class AnickComplex:
         hit = self._d_memo.get(key)
         if hit is not None:
             return hit
-        if n == 0:
-            result = self.delta(0, EMPTY_WORD, chain)
-        else:
-            dl = self.delta(n, EMPTY_WORD, chain)
-            result = dl - self.splitting(n - 1, self.d(n - 1, dl))
+        result = self.delta(n, EMPTY_WORD, chain)
+        if n > 0:
+            result = result - self.splitting(n - 1, self.d(n - 1, result))
         self._d_memo[key] = result
         return result
 
@@ -492,38 +473,30 @@ class AnickComplex:
     def splitting(self, n: int, f: ModuleElement) -> ModuleElement:
         """i_n on ker(d_{n-1}) (ker of the augmentation for n = 0).
 
-        Implemented as a worklist that strips the leading basis term with
-        j_n and subtracts the corresponding boundary.  The leading term must
-        drop strictly at every step, in the order of :meth:`pair_key`, which
-        bounds the number of steps; a step that does not descend raises
-        :class:`SplittingError`.
+        Implemented as a worklist that strips the leading basis term m.t
+        with j_n and subtracts the corresponding boundary.  j_n(m.t) = u.vt
+        is the only candidate, because mt has at most one n-chain suffix.
+        The leading term must drop strictly at every step, in the order of
+        :meth:`pair_key`, which bounds the number of steps; a step that does
+        not descend raises :class:`SplittingError`, and so does a leading
+        term with no n-chain suffix, such as the scalar 1.e for n = 0.
         """
         if f.level != n - 1:
             raise ValueError(f"element of level {f.level} fed to i_{n}")
-        field = self.field
-        if n == 0:
-            # distinct words m.e split into distinct u.x, so nothing adds up
-            out: dict[tuple[Word, Chain], object] = {}
-            for (m, _e), c in f.items():
-                if m.is_empty:
-                    raise SplittingError("element is not in ker(augmentation)")
-                out[(Word(m.chars[:-1]), self._t0_by_char[m.chars[-1]])] = c
-            return ModuleElement(0, out, field, _clean=True)
-        result = ModuleElement.zero(n, field)
-        work = f
-        previous = None
+        result = ModuleElement.zero(n, self.field)
+        work, previous = f, None
         while not work.is_zero:
             (m, t), c = self.leading_basis_term(work)
             lead = self.pair_key(m, t)
             if previous is not None and lead >= previous:
                 raise SplittingError(
-                    f"leading term {m}.{t.word} is not below the previous "
+                    f"leading term {m}{t} is not below the previous "
                     f"step's leading term; i_{n} does not descend")
             previous = lead
             image = self.jmap(n, m, t)
             if image is None:
                 raise SplittingError(
-                    f"leading term {m}.{t.word} admits no chain "
+                    f"leading term {m}{t} admits no chain "
                     f"factorization; input is not a boundary")
             image = image.scale(c)
             result = result + image

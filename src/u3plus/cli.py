@@ -409,6 +409,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, FreeAlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller window", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def _excluded_t2_word(win: Window, k: int) -> Word:
 
 def _t2_chain(cx: AnickComplex, w: Word, error: type, why: str) -> Chain:
     """The 2-chain with word w, or the given error when T_2 lacks it."""
-    chain = cx._t2_by_chars.get(w.chars)
+    chain = cx.chain(2, w)
     if chain is None:
         raise error(f"{w} is not a 2-chain of the window basis; {why}")
     return chain
@@ -188,9 +188,9 @@ class MinimalResolution:
                                 or self._max_index(c) <= max_idx)
         self._braid_chain = {}
         for k in self.ext_window.indices:
-            w = _braid_word(self.ext_window, k)
-            if w.chars in self.cx._t1_by_chars:
-                self._braid_chain[k] = self.cx._t1_by_chars[w.chars]
+            chain = self.cx.chain(1, _braid_word(self.ext_window, k))
+            if chain is not None:
+                self._braid_chain[k] = chain
         self._substitute_chain = {}
         for k in range(self.ext_window.j, self.ext_window.m - 1):
             self._substitute_chain[k] = _t2_chain(

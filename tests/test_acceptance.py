@@ -237,12 +237,10 @@ def test_c05_boundary_coefficients_as_stated(p):
                 return c
         return 0
 
-    image_b = cx.d_chain(2, cx._t2_by_chars[
-        Word.of([b1] + [a0] * p).chars])
+    image_b = cx.d_chain(2, cx.chain(2, Word.of([b1] + [a0] * p)))
     assert coeff(image_b, braid) == minus_one
     assert coeff(image_b, ab_next) == 0
-    image_a = cx.d_chain(2, cx._t2_by_chars[
-        Word.of([a1] + [b0] * p).chars])
+    image_a = cx.d_chain(2, cx.chain(2, Word.of([a1] + [b0] * p)))
     assert coeff(image_a, ab_next) == 0
     assert coeff(image_a, braid) == minus_one, (
         f"exact value is {coeff(image_a, braid)} = -(-1)^p; the claimed -1 "

@@ -9,6 +9,7 @@ from u3plus import (
     FieldSpec,
     ModuleElement,
     OrderSpec,
+    Polynomial,
     RewriteSystem,
     Window,
     Word,
@@ -19,7 +20,14 @@ from u3plus import (
     small_window_alphabet,
     word,
 )
-from u3plus.anick import AnickComplex, GradedMatrix, SplittingError, sparse_rank
+from u3plus.anick import (
+    AnickComplex,
+    Chain,
+    ChainError,
+    GradedMatrix,
+    SplittingError,
+    sparse_rank,
+)
 from u3plus.minimal import MinimalResolution
 
 from conftest import complex_for, system_for
@@ -204,15 +212,46 @@ class TestChainSets:
                 if c1 is not c2:
                     assert c1.word.chars not in c2.word.chars
 
-    def test_t2_decompositions_unique_and_valid(self, cx31):
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_chain_tails_unique_and_valid(self, cx31, level):
         t1_words = {c.word.chars for c in cx31.t1}
-        for c in cx31.t2:
-            # tip = m1 . v = u . m2 with a nonempty overlap of m1 and m2
-            assert c.right_lhs.chars in t1_words
-            assert c.u.chars + c.right_lhs.chars == c.word.chars
-            prefixes = [w for w in t1_words if c.word.chars.startswith(w)]
-            (m1,) = prefixes
-            assert len(m1) > len(c.u.chars)  # the rules genuinely overlap
+        for c in cx31.chains(level):
+            # word = u . tail, tail the (level - 1)-chain ending the word
+            tail = c.tail
+            assert tail.level == level - 1
+            assert cx31.chain(level - 1, tail.word) is tail
+            assert c.word.chars.endswith(tail.word.chars)
+            u = Word(c.word.chars[:len(c.word.chars) - len(tail.word.chars)])
+            assert cx31.delta(level, EMPTY_WORD, c) == cx31.act_poly(
+                cx31.system.normal_form_word(u),
+                ModuleElement.basis(EMPTY_WORD, tail, cx31.field))
+            if level == 2:
+                prefixes = [w for w in t1_words
+                            if c.word.chars.startswith(w)]
+                (m1,) = prefixes
+                assert len(m1) > len(u.chars)  # the rules genuinely overlap
+
+    def test_chain_equality_is_level_and_word(self, cx31):
+        for level in (-1, 0, 1, 2):
+            for t in cx31.chains(level):
+                bare = Chain(t.level, t.word)
+                assert bare == t
+                assert hash(bare) == hash(t)
+        cx = complex_for(3, 2)
+        assert cx.chain(1, W(3, ("a", 1), ("b", 1))) is None
+
+    @pytest.mark.parametrize("foreign", [False, True])
+    def test_constant_or_foreign_leading_monomial_rejected(self, foreign):
+        # a rule 1 -> 0 or a rule on a letter outside the alphabet would
+        # leave a 1-chain without a tail
+        alphabet = small_window_alphabet(2, 0, 1)
+        lead = W(2, ("a", 1), ("a", 1)) if foreign else EMPTY_WORD
+        system = RewriteSystem.from_polynomials(
+            [Polynomial({lead: 1}, FieldSpec(2))],
+            OrderSpec.deglex(small_window_alphabet(2, 0, 2)), FieldSpec(2),
+            alphabet)
+        with pytest.raises(ChainError, match="leading monomial"):
+            AnickComplex(system)
 
     def test_t2_tips_are_minimal_critical_tips(self, cx22):
         tips = {cp.tip for cp in cx22.system.critical_pairs()}
@@ -252,10 +291,10 @@ class TestDegreeTables:
         for chain, degree in table.items():
             assert degree == expected_degree(chain.word)
         # spot formulas: deg(a_l b_k) = p^l alpha + p^k beta, and the braid
-        assert table[cx._t1_by_chars[W(p, ("a", 1), ("b", 0)).chars]] \
+        assert table[cx.chain(1, W(p, ("a", 1), ("b", 0)))] \
             == Degree(p, 1)
-        assert table[cx._t1_by_chars[
-            Word.of([b(0, p), a(0, p)] * p).chars]] == Degree(p, p)
+        assert table[cx.chain(
+            1, Word.of([b(0, p), a(0, p)] * p))] == Degree(p, p)
 
     @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
     def test_t2_degrees(self, p, m):
@@ -265,7 +304,7 @@ class TestDegreeTables:
 
     def test_braid_power_row(self, cx22):
         # deg((b_k a_k)^{p+1}) = (p^{k+1} + p^k)(alpha + beta)
-        chain = cx22._t2_by_chars[Word.of([b(0, 2), a(0, 2)] * 3).chars]
+        chain = cx22.chain(2, Word.of([b(0, 2), a(0, 2)] * 3))
         assert chain.degree == Degree(3, 3)
 
     def test_level_minus_one(self, cx21):
@@ -304,23 +343,29 @@ class TestDeltaAndJ:
         got = cx21.delta(0, EMPTY_WORD, x)
         assert got == ModuleElement.basis(x.word, cx21.e_chain, cx21.field)
 
+    def test_delta_needs_a_chain_of_its_level_with_a_tail(self, cx21):
+        with pytest.raises(ValueError, match="no delta_1"):
+            cx21.delta(1, EMPTY_WORD, cx21.t0[0])
+        with pytest.raises(ValueError, match="no delta_-1"):
+            cx21.delta(-1, EMPTY_WORD, cx21.e_chain)
+
     def test_j1_no_factorization(self, cx21):
         m = W(2, ("a", 0), ("b", 0))
-        x = cx21._t0_by_char[a(0, 2).char]
+        x = cx21.chain(0, word(a(0, 2)))
         assert cx21.jmap(1, m, x) is None
 
     def test_j1_finds_the_rule_suffix(self, cx22):
         m = W(2, ("b", 0), ("a", 1))
-        x = cx22._t0_by_char[b(0, 2).char]
+        x = cx22.chain(0, word(b(0, 2)))
         got = cx22.jmap(1, m, x)
-        chain = cx22._t1_by_chars[W(2, ("a", 1), ("b", 0)).chars]
+        chain = cx22.chain(1, W(2, ("a", 1), ("b", 0)))
         assert got == ModuleElement.basis(word(b(0, 2)), chain, cx22.field)
 
     def test_delta2_example(self, cx21):
-        chain = cx21._t2_by_chars[
-            W(2, ("b", 0), ("a", 0), ("b", 0), ("a", 0), ("a", 0)).chars]
+        chain = cx21.chain(
+            2, W(2, ("b", 0), ("a", 0), ("b", 0), ("a", 0), ("a", 0)))
         got = cx21.delta(2, EMPTY_WORD, chain)
-        sq = cx21._t1_by_chars[W(2, ("a", 0), ("a", 0)).chars]
+        sq = cx21.chain(1, W(2, ("a", 0), ("a", 0)))
         assert got == ModuleElement.basis(
             W(2, ("b", 0), ("a", 0), ("b", 0)), sq, cx21.field)
 
@@ -335,19 +380,19 @@ class TestDifferentials:
     def test_d1_on_generator_power(self, p):
         cx = complex_for(p, 1)
         B = b(0, p)
-        chain = cx._t1_by_chars[Word.of([B] * p).chars]
-        x = cx._t0_by_char[B.char]
+        chain = cx.chain(1, Word.of([B] * p))
+        x = cx.chain(0, word(B))
         expected = ModuleElement.basis(Word.of([B] * (p - 1)), x, cx.field)
         assert cx.d_chain(1, chain) == expected
 
     def test_d1_on_skew_rule_p3(self):
         # d1(.a1 b0) = a1.b0 - b0.a1 - a0^2 b0.a0 (signs visible mod 3)
         cx = complex_for(3, 2)
-        chain = cx._t1_by_chars[W(3, ("a", 1), ("b", 0)).chars]
+        chain = cx.chain(1, W(3, ("a", 1), ("b", 0)))
         got = cx.d_chain(1, chain)
-        xa0 = cx._t0_by_char[a(0, 3).char]
-        xa1 = cx._t0_by_char[a(1, 3).char]
-        xb0 = cx._t0_by_char[b(0, 3).char]
+        xa0 = cx.chain(0, word(a(0, 3)))
+        xa1 = cx.chain(0, word(a(1, 3)))
+        xb0 = cx.chain(0, word(b(0, 3)))
         assert got.coefficient(word(a(1, 3)), xb0) == 1
         assert got.coefficient(word(b(0, 3)), xa1) == 2
         assert got.coefficient(W(3, ("a", 0), ("a", 0), ("b", 0)), xa0) == 2
@@ -355,12 +400,11 @@ class TestDifferentials:
 
     def test_d2_on_substitute_source(self, cx22):
         # d2(.a1 b0^2) = a1.b0^2 - b0.a1b0 - .(b0 a0)^2
-        chain = cx22._t2_by_chars[W(2, ("a", 1), ("b", 0), ("b", 0)).chars]
+        chain = cx22.chain(2, W(2, ("a", 1), ("b", 0), ("b", 0)))
         got = cx22.d_chain(2, chain)
-        sq = cx22._t1_by_chars[W(2, ("b", 0), ("b", 0)).chars]
-        skew = cx22._t1_by_chars[W(2, ("a", 1), ("b", 0)).chars]
-        braid = cx22._t1_by_chars[
-            W(2, ("b", 0), ("a", 0), ("b", 0), ("a", 0)).chars]
+        sq = cx22.chain(1, W(2, ("b", 0), ("b", 0)))
+        skew = cx22.chain(1, W(2, ("a", 1), ("b", 0)))
+        braid = cx22.chain(1, W(2, ("b", 0), ("a", 0), ("b", 0), ("a", 0)))
         assert got == (
             ModuleElement.basis(word(a(1, 2)), sq, cx22.field)
             + ModuleElement.basis(word(b(0, 2)), skew, cx22.field)
@@ -390,7 +434,7 @@ class TestSplitting:
         m = W(2, ("a", 0), ("b", 0))
         f = ModuleElement.basis(m, cx21.e_chain, cx21.field)
         got = cx21.splitting(0, f)
-        xb = cx21._t0_by_char[b(0, 2).char]
+        xb = cx21.chain(0, word(b(0, 2)))
         assert got == ModuleElement.basis(word(a(0, 2)), xb, cx21.field)
 
     def test_zero_maps_to_zero(self, cx21):
@@ -398,17 +442,20 @@ class TestSplitting:
         assert cx21.splitting(1, zero).is_zero
 
     def test_section_property(self, cx22):
-        # i_1 is a section of d_1 on boundaries; the boundary of a whole
-        # graded basis of P_1 takes the splitting several steps
-        lift_sizes = []
-        for degree in cx22.relevant_degrees(6):
-            x = ModuleElement(1, dict.fromkeys(cx22.basis(1, degree), 1),
-                              cx22.field)
-            boundary = cx22.d(1, x)
-            lifted = cx22.splitting(1, boundary)
-            assert cx22.d(1, lifted) == boundary
-            lift_sizes.append(len(lifted.terms))
-        assert max(lift_sizes) > 1
+        # i_0 and i_1 are sections of d_0 and d_1 on boundaries; the
+        # boundary of a whole graded basis of P_n takes the splitting
+        # several steps
+        for level in (0, 1):
+            lift_sizes = []
+            for degree in cx22.relevant_degrees(6):
+                x = ModuleElement(
+                    level, dict.fromkeys(cx22.basis(level, degree), 1),
+                    cx22.field)
+                boundary = cx22.d(level, x)
+                lifted = cx22.splitting(level, boundary)
+                assert cx22.d(level, lifted) == boundary
+                lift_sizes.append(len(lifted.terms))
+            assert max(lift_sizes) > 1
 
     def test_non_boundary_rejected(self, cx21):
         x = cx21.t0[0]
@@ -418,7 +465,8 @@ class TestSplitting:
 
     def test_scalar_level_minus_one_rejected(self, cx21):
         f = ModuleElement.basis(EMPTY_WORD, cx21.e_chain, cx21.field)
-        with pytest.raises(SplittingError):
+        with pytest.raises(SplittingError, match=re.escape(
+                "leading term 1.e admits no chain factorization")):
             cx21.splitting(0, f)
 
     def test_non_descending_step_rejected(self, monkeypatch):

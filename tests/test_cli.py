@@ -286,6 +286,20 @@ class TestInputValidation:
         assert applies_to in err
         assert err.count("\n") == 1
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        # an oversized prime runs out of memory building the window basis;
+        # the failure is simulated, so no large word is allocated
+        def exhausted(win):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "small_groebner_basis", exhausted)
+        code, out, err = run(capsys, "nf", "--p", "2", "--m", "1", "a0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("argv", [
     ("anick", "--p", "2", "--m", "1", "--max-deg", "8"),

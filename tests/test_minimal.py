@@ -81,10 +81,9 @@ class TestD2Prime:
         # r (d_2(.a1 b0^2) + .(b0 a0)^2), a radical element of the image
         res = MinimalResolution(Window(2, 0, 2), 10)
         cx = res.cx
-        src = cx._t2_by_chars[W2(("b", 1), ("a", 0), ("a", 0)).chars]
-        sub = cx._t2_by_chars[W2(("a", 1), ("b", 0), ("b", 0)).chars]
-        braid = cx._t1_by_chars[
-            W2(("b", 0), ("a", 0), ("b", 0), ("a", 0)).chars]
+        src = cx.chain(2, W2(("b", 1), ("a", 0), ("a", 0)))
+        sub = cx.chain(2, W2(("a", 1), ("b", 0), ("b", 0)))
+        braid = cx.chain(1, W2(("b", 0), ("a", 0), ("b", 0), ("a", 0)))
         d2_src = cx.d_chain(2, src)
         r = d2_src.coefficient(EMPTY_WORD, braid)
         assert r == cx.field.coerce(-1)
@@ -99,7 +98,7 @@ class TestD2Prime:
     def test_unmatched_degree_passes_through(self):
         res = MinimalResolution(Window(2, 0, 2), 10)
         cx = res.cx
-        src = cx._t2_by_chars[W2(("a", 1), ("a", 0), ("a", 0)).chars]
+        src = cx.chain(2, W2(("a", 1), ("a", 0), ("a", 0)))
         assert res.d2_prime(src) == cx.d_chain(2, src)
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -112,8 +111,7 @@ class TestD2Prime:
         res = MinimalResolution(Window(2, 0, 1), 8)
         res._substitute_chain.clear()
         res._d2p_memo.clear()
-        needs_braid = res.cx._t2_by_chars[
-            W2(("b", 1), ("a", 0), ("a", 0)).chars]
+        needs_braid = res.cx.chain(2, W2(("b", 1), ("a", 0), ("a", 0)))
         with pytest.raises(WindowTooSmallError):
             res.d2_prime(needs_braid)
 
