@@ -29,16 +29,17 @@ builds:
   first step that does not descend.
 
 * degree-by-degree matrices of the differentials with exact rank checks that
-  certify the complex is exact at P_0 and P_1 in every tested degree.
+  certify the complex is exact at P_0 and P_1 in every tested degree; the
+  complex identities eps.d_0 = d_0.d_1 = d_1.d_2 = 0 are their products.
 
 Every image m.d_n(t) of a basis element, and m.f(t) for a supplied chain map
 f such as the surgered d'_2, is memoized on the complex, keyed by (n, t, f)
 and then by the word m.  A missing image x m'.d_n(t) is the letter x acting
 on the memoized image of its suffix m'.t, so each image costs one letter
-action, and the differentials, the splittings, the complex identities and
-the graded matrices all read the same images.  Graded matrices are stored
-sparsely, row by row, and ranked by one exact elimination
-(:func:`sparse_rank`) over F_p or the rationals.
+action, and the differentials, the splittings and the graded matrices all
+read the same images.  Graded matrices are stored sparsely, row by row, and
+ranked by one exact elimination (:func:`sparse_rank`) over F_p or the
+rationals.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .free_algebra import (
     Word,
     _add_scaled,
 )
-from .rewriting import RewriteSystem, find_overlaps
+from .rewriting import RewriteSystem
 
 
 class ChainError(FreeAlgebraError):
@@ -90,9 +91,6 @@ class Chain:
     @property
     def degree(self) -> Degree:
         return self.word.degree
-
-    def to_json(self) -> list[str]:
-        return list(self.word.tokens)
 
     def __str__(self) -> str:
         return f".{self.word}" if self.level >= 0 else ".e"
@@ -139,9 +137,6 @@ class ModuleElement(LinearCombination):
         return Polynomial(
             {m: c for (m, t), c in self.terms.items() if t == chain},
             self.field, _clean=True)
-
-    def degrees(self) -> set[Degree]:
-        return {m.degree + t.degree for (m, t) in self.terms}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -230,6 +225,22 @@ def sparse_rank(rows: Iterable[Iterable[tuple[int, object]]],
     return len(pivots)
 
 
+def _product_failures(name: str, left: Iterable, right: GradedMatrix,
+                      field: FieldSpec) -> list[tuple[str, str, str]]:
+    """(name, m, t) for each column m.t of right at which left.right is
+    nonzero; left is sparse rows whose columns index the rows of right."""
+    coerce = field.coerce
+    nonzero: set[int] = set()
+    for row in left:
+        acc: dict[int, object] = {}
+        for j, c in row:
+            for k, x in right.entries[j]:
+                acc[k] = acc.get(k, 0) + c * x
+        nonzero.update(k for k, x in acc.items() if coerce(x))
+    return [(name, str(m), str(t.word))
+            for m, t in (right.col_labels[k] for k in sorted(nonzero))]
+
+
 # --------------------------------------------------------------------------
 # the complex
 # --------------------------------------------------------------------------
@@ -246,6 +257,8 @@ class DegreeReport:
     # the matrices of d1 and d2 in this degree, kept for the report
     d1: GradedMatrix = dc_field(repr=False, compare=False)
     d2: GradedMatrix = dc_field(repr=False, compare=False)
+    # (identity, m, t) where eps.d0, d0.d1 or d1.d2 is nonzero at m.t
+    failures: list = dc_field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -276,9 +289,6 @@ class AnickComplex:
         self.t0 = tuple(Chain(0, Word(g.char), self.e_chain)
                         for g in system.alphabet)
         by_char = {c.word.chars: c for c in self.t0}
-        if any(r.lhs.chars[-1:] not in by_char for r in system.rules):
-            raise ChainError("a leading monomial is constant or leaves the "
-                             "alphabet")
         self._by_chars: dict[int, dict[str, Chain]] = {
             -1: {"": self.e_chain}, 0: by_char}
         self.t1 = tuple(Chain(1, r.lhs, by_char[r.lhs.chars[-1]])
@@ -296,12 +306,12 @@ class AnickComplex:
     # -- chain sets ---------------------------------------------------------
 
     def _build_t2(self) -> tuple[Chain, ...]:
-        tips: dict[str, Chain] = {}
-        for r1 in self.system.rules:
-            for r2 in self.system.rules:
-                # no lhs contains another: all overlaps, ending in r2.lhs
-                for tip, _u, _v, _case in find_overlaps(r1.lhs, r2.lhs):
-                    tips[tip.chars] = Chain(2, tip, self.chain(1, r2.lhs))
+        rules = self.system.rules
+        # no lhs contains another: every tip is an overlap ending in the
+        # second rule's lhs
+        tips = {cp.tip.chars: Chain(2, cp.tip,
+                                    self.chain(1, rules[cp.rule2].lhs))
+                for cp in self.system.critical_pairs()}
         minimal = [c for chars, c in tips.items()
                    if not any(other != chars and other in chars
                               for other in tips)]
@@ -446,16 +456,6 @@ class AnickComplex:
             images[m[k:]] = image
         return image
 
-    def _apply(self, n: int, elt: _Grouped) -> _Grouped:
-        """d_n of a grouped element of P_n, grouped."""
-        p = self.field.characteristic
-        out: _Grouped = {}
-        for t, terms in elt.items():
-            for m, c in terms.items():
-                for tt, image in self._image(n, t, m).items():
-                    _add_scaled(out.setdefault(tt, {}), image, c, p)
-        return {tt: terms for tt, terms in out.items() if terms}
-
     def _element(self, level: int, elt: _Grouped) -> ModuleElement:
         return ModuleElement(
             level, {(Word(w), t): c for t, terms in elt.items()
@@ -465,7 +465,12 @@ class AnickComplex:
         """The differential extended module-linearly."""
         if elt.level != n:
             raise ValueError(f"element of level {elt.level} fed to d_{n}")
-        return self._element(n - 1, self._apply(n, _grouped(elt)))
+        p = self.field.characteristic
+        out: _Grouped = {}
+        for (m, t), c in elt.items():
+            for tt, image in self._image(n, t, m.chars).items():
+                _add_scaled(out.setdefault(tt, {}), image, c, p)
+        return self._element(n - 1, out)
 
     def leading_basis_term(self, elt: ModuleElement):
         return max(elt.terms.items(), key=lambda kv: self.pair_key(*kv[0]))
@@ -507,31 +512,14 @@ class AnickComplex:
 
     # -- certificates -----------------------------------------------------------
 
-    def complex_check(self, deg_bound: int) -> dict:
-        """eps.d0, d0.d1 and d1.d2 vanish on every basis element m.t with
-        total weight <= deg_bound."""
-        failures = []
-        counts = {"eps_d0": 0, "d0_d1": 0, "d1_d2": 0}
-        e_chain = self.e_chain
-        for level, name in ((0, "eps_d0"), (1, "d0_d1"), (2, "d1_d2")):
-            for t in self.chains(level):
-                room = deg_bound - t.degree.norm
-                if room < 0:
-                    continue
-                self._ensure_words(room)
-                for md, words in sorted(self._words_by_degree.items()):
-                    if md.norm > room:
-                        continue
-                    for m in words:
-                        counts[name] += 1
-                        image = self._image(level, t, m.chars)
-                        if level == 0:  # the augmentation: coefficient of e.e
-                            ok = not image.get(e_chain, {}).get("")
-                        else:
-                            ok = not self._apply(level - 1, image)
-                        if not ok:
-                            failures.append((name, str(m), str(t.word)))
-        return {"checked": counts, "failures": failures,
+    def complex_check(self, reports: Sequence[DegreeReport]) -> dict:
+        """eps.d0, d0.d1 and d1.d2 vanish on every basis element counted by
+        the per-degree reports of :meth:`exactness_check`."""
+        failures = [f for r in reports for f in r.failures]
+        checked = {name: sum(r.dims[level] for r in reports)
+                   for level, name in ((0, "eps_d0"), (1, "d0_d1"),
+                                       (2, "d1_d2"))}
+        return {"checked": checked, "failures": failures,
                 "ok": not failures}
 
     def matrix(self, n: int, degree: Degree,
@@ -556,28 +544,29 @@ class AnickComplex:
     def relevant_degrees(self, deg_bound: int) -> list[Degree]:
         """Degrees (<= bound) in which some P_n has a nonzero component."""
         self._ensure_words(deg_bound)
-        out: set[Degree] = set()
-        for level in (-1, 0, 1, 2):
-            for t in self.chains(level):
-                base = t.degree
-                if base.norm > deg_bound:
-                    continue
-                for md in self._words_by_degree:
-                    d = base + md
-                    if d.norm <= deg_bound:
-                        out.add(d)
-        return sorted(out)
+        return sorted({d for level in (-1, 0, 1, 2)
+                       for t in self.chains(level)
+                       for md in self._words_by_degree
+                       if (d := t.degree + md).norm <= deg_bound})
 
     def exactness_check(self, deg_bound: int) -> list[DegreeReport]:
         """Rank-nullity certificates per degree: the complex is exact at P_0
-        and P_1, and the augmentation is exact too."""
+        and P_1, and the augmentation is exact too.  Each report also keeps
+        the basis elements at which eps.d0, d0.d1 or d1.d2 is nonzero."""
         reports = []
         for degree in self.relevant_degrees(deg_bound):
             d0, d1, d2 = (self.matrix(n, degree) for n in (0, 1, 2))
             dims = {-1: len(d0.row_labels), 0: len(d1.row_labels),
                     1: len(d2.row_labels), 2: len(d2.col_labels)}
+            # the augmentation reads the coefficient of 1.e
+            eps = [[(i, 1)] for i, (m, _t) in enumerate(d0.row_labels)
+                   if m.is_empty]
+            failures = [f for name, left, right in (
+                ("eps_d0", eps, d0), ("d0_d1", d0.entries, d1),
+                ("d1_d2", d1.entries, d2))
+                for f in _product_failures(name, left, right, self.field)]
             r0, r1, r2 = (m.rank(self.field) for m in (d0, d1, d2))
-            ker_eps = dims[-1] - (1 if degree == Degree(0, 0) else 0)
+            ker_eps = dims[-1] - len(eps)
             reports.append(DegreeReport(
                 degree=degree,
                 dims=dims,
@@ -587,5 +576,6 @@ class AnickComplex:
                 exact_at_p1=(dims[1] - r1 == r2),
                 d1=d1,
                 d2=d2,
+                failures=failures,
             ))
         return reports

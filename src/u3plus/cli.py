@@ -286,8 +286,8 @@ def cmd_anick(args) -> int:
     win = _window(args)
     cx = AnickComplex(small_groebner_basis(win))
     bound = args.max_deg
-    complex_report = cx.complex_check(bound)
     exactness = cx.exactness_check(bound)
+    complex_report = cx.complex_check(exactness)
     ok = complex_report["ok"] and all(r.ok for r in exactness)
     payload = {
         "t1": [list(c.word.tokens) for c in cx.t1],

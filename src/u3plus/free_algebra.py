@@ -544,9 +544,6 @@ class LinearCombination:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def degrees(self) -> set[Degree]:
-        return {k.degree for k in self.terms}
-
 
 class Polynomial(LinearCombination):
     """Finitely supported map Word -> nonzero coefficient over a FieldSpec."""

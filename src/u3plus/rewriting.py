@@ -168,9 +168,11 @@ _ActionSteps = typing.Generator[str, dict, dict]
 class RewriteSystem:
     """A fixed set of rewriting rules with its order and alphabet.
 
-    The rules never change after construction; the normal-form memo (the
-    letter action) fills as normal forms are computed, so an instance is not
-    safe to share between threads.
+    Every rule has a nonempty left-hand side and only letters of the
+    alphabet, or construction raises :class:`RewriteSystemError`.  The rules
+    never change after construction; the normal-form memo (the letter
+    action) fills as normal forms are computed, so an instance is not safe to
+    share between threads.
     """
 
     def __init__(self, rules: Sequence[RewriteRule], order: OrderSpec,
@@ -182,9 +184,17 @@ class RewriteSystem:
         # lhs chars -> rule index; redexes are found by slicing a word and
         # looking the slice up, longest lhs length first
         self._rule_index: dict[str, int] = {}
+        letters = {g.char for g in self.alphabet}
         for i, rule in enumerate(self.rules):
             if rule.rhs.field != field:
                 raise RewriteSystemError("rule field does not match system")
+            if rule.lhs.is_empty:
+                raise RewriteSystemError(
+                    f"rule {rule} has an empty left-hand side")
+            for w in (rule.lhs, *rule.rhs.terms):
+                if not letters.issuperset(w.chars):
+                    raise RewriteSystemError(
+                        f"rule {rule} leaves the alphabet at {w}")
             if rule.lhs.chars in self._rule_index:
                 raise RewriteSystemError(
                     f"duplicate left-hand side {rule.lhs}")
@@ -389,9 +399,7 @@ class RewriteSystem:
         lhs_by_last: dict[str, list[str]] = {}
         for r in self.rules:
             lhs = r.lhs.chars
-            # an empty lhs is a suffix of every word
-            for last in lhs[-1:] or "".join(g.char for g in self.alphabet):
-                lhs_by_last.setdefault(last, []).append(lhs)
+            lhs_by_last.setdefault(lhs[-1], []).append(lhs)
         out: list[Word] = []
         letters = [(g.char, g.degree.norm) for g in self.alphabet]
 

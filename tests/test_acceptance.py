@@ -400,10 +400,10 @@ def test_c07_complex_and_exactness(p, m):
     bound = 3 * p * p
     start = time.monotonic()
     cx = complex_for(p, m)
-    complex_report = cx.complex_check(bound)
-    assert complex_report["ok"], complex_report["failures"]
     exactness = cx.exactness_check(bound)
     assert exactness and all(r.ok for r in exactness)
+    complex_report = cx.complex_check(exactness)
+    assert complex_report["ok"], complex_report["failures"]
     minimal = resolution_for(p, m, bound)
     prime_reports = minimal.exactness_at_p1_prime()
     assert prime_reports and all(r.ok for r in prime_reports)

@@ -9,7 +9,6 @@ from u3plus import (
     FieldSpec,
     ModuleElement,
     OrderSpec,
-    Polynomial,
     RewriteSystem,
     Window,
     Word,
@@ -240,19 +239,6 @@ class TestChainSets:
         cx = complex_for(3, 2)
         assert cx.chain(1, W(3, ("a", 1), ("b", 1))) is None
 
-    @pytest.mark.parametrize("foreign", [False, True])
-    def test_constant_or_foreign_leading_monomial_rejected(self, foreign):
-        # a rule 1 -> 0 or a rule on a letter outside the alphabet would
-        # leave a 1-chain without a tail
-        alphabet = small_window_alphabet(2, 0, 1)
-        lead = W(2, ("a", 1), ("a", 1)) if foreign else EMPTY_WORD
-        system = RewriteSystem.from_polynomials(
-            [Polynomial({lead: 1}, FieldSpec(2))],
-            OrderSpec.deglex(small_window_alphabet(2, 0, 2)), FieldSpec(2),
-            alphabet)
-        with pytest.raises(ChainError, match="leading monomial"):
-            AnickComplex(system)
-
     def test_t2_tips_are_minimal_critical_tips(self, cx22):
         tips = {cp.tip for cp in cx22.system.critical_pairs()}
         minimal = {t for t in tips
@@ -426,7 +412,8 @@ class TestDifferentials:
         for level in (0, 1, 2):
             for t in cx.chains(level):
                 image = cx.d_chain(level, t)
-                assert image.degrees() <= {t.degree}
+                assert {w.degree + tt.degree
+                        for w, tt in image.terms} <= {t.degree}
 
 
 class TestSplitting:
@@ -493,10 +480,46 @@ class TestSplitting:
 class TestComplexAndExactness:
     @pytest.mark.parametrize("p,m,bound", [(2, 1, 8), (3, 1, 12)])
     def test_complex_identities(self, p, m, bound):
-        report = complex_for(p, m).complex_check(bound)
+        cx = complex_for(p, m)
+        report = cx.complex_check(cx.exactness_check(bound))
         assert report["ok"]
         assert report["failures"] == []
         assert min(report["checked"].values()) > 0
+
+    def test_checked_counts_every_basis_element(self, cx22):
+        bound = 8
+        report = cx22.complex_check(cx22.exactness_check(bound))
+        degrees = cx22.relevant_degrees(bound)
+        assert report["checked"] == {
+            name: sum(len(cx22.basis(level, d)) for d in degrees)
+            for level, name in ((0, "eps_d0"), (1, "d0_d1"), (2, "d1_d2"))}
+
+    @pytest.mark.parametrize("n,name", [(1, "d0_d1"), (2, "d1_d2")])
+    def test_corrupt_entry_is_named(self, monkeypatch, n, name):
+        """One wrong entry of d_n in row 1.t (t a chain, so d_{n-1}(1.t) is
+        not 0) makes d_{n-1}.d_n nonzero in that entry's column."""
+        cx = complex_for(2, 2)
+        matrix = cx.matrix
+        corrupted = []
+
+        def corrupting(level, degree, *rest):
+            mat = matrix(level, degree, *rest)
+            rows = [i for i, (m, _t) in enumerate(mat.row_labels)
+                    if m.is_empty]
+            if level == n and not corrupted and rows and mat.col_labels:
+                row = dict(mat.entries[rows[0]])
+                row[0] = cx.field.add(row.get(0, 0), 1)
+                mat.entries[rows[0]] = sorted(
+                    (j, c) for j, c in row.items() if c)
+                m, t = mat.col_labels[0]
+                corrupted.append((name, str(m), str(t.word)))
+            return mat
+
+        monkeypatch.setattr(cx, "matrix", corrupting)
+        report = cx.complex_check(cx.exactness_check(12))
+        assert corrupted
+        assert report["ok"] is False
+        assert [f for f in report["failures"] if f[0] == name] == corrupted
 
     def test_exactness_at_small_weight(self, cx21):
         reports = cx21.exactness_check(8)
@@ -519,7 +542,6 @@ class TestComplexAndExactness:
                  parse_poly("a0*a0*a0 - b0", FieldSpec(2))]
         system = RewriteSystem.from_polynomials(polys, order, FieldSpec(2),
                                                 alphabet)
-        from u3plus.anick import ChainError
         with pytest.raises(ChainError, match="reduced basis"):
             AnickComplex(system)
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,28 @@ class TestRuleFromPoly:
         with pytest.raises(RewriteSystemError):
             RewriteSystem([RewriteRule(lhs, rhs)], order, F2,
                           small_window_alphabet(2, 0, 1))
+
+
+class TestSystemConstruction:
+    def test_empty_lhs_rejected(self):
+        alphabet = (A0, B0)
+        with pytest.raises(RewriteSystemError,
+                           match="empty left-hand side"):
+            RewriteSystem([RewriteRule(EMPTY_WORD, Polynomial.zero(F2))],
+                          OrderSpec.deglex(alphabet), F2, alphabet)
+
+    @pytest.mark.parametrize("poly,message", [
+        ("1", "rule 1 -> 0 has an empty left-hand side"),
+        ("a1*a1", "rule a1*a1 -> 0 leaves the alphabet at a1*a1"),
+        ("a0*a0*a0 - a1", "rule a0*a0*a0 -> a1 leaves the alphabet at a1"),
+    ], ids=["constant", "foreign-lhs", "foreign-rhs"])
+    def test_rule_outside_the_alphabet_rejected(self, poly, message):
+        # the order knows a1, the system's alphabet does not
+        order = OrderSpec.deglex(small_window_alphabet(2, 0, 2))
+        with pytest.raises(RewriteSystemError, match=re.escape(message)):
+            RewriteSystem.from_polynomials(
+                [parse_poly(poly, F2)], order, F2,
+                small_window_alphabet(2, 0, 1))
 
 
 class TestReduceOnce:
@@ -275,13 +298,6 @@ class TestIrreducibleWords:
         system = RewriteSystem([], order, F2, alphabet)
         assert [str(w) for w in system.irreducible_words(2)] == [
             "1", "a0", "a0*a0"]
-
-    def test_empty_lhs_leaves_only_the_empty_word(self):
-        alphabet = (A0, B0)
-        system = RewriteSystem(
-            [RewriteRule(EMPTY_WORD, Polynomial.zero(F2))],
-            OrderSpec.deglex(alphabet), F2, alphabet)
-        assert system.irreducible_words(3) == [EMPTY_WORD]
 
     def test_g31_count(self, g31):
         assert len(g31.irreducible_words(16)) == 27
