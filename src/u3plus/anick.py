@@ -15,7 +15,7 @@ builds:
 * the maps delta_n / j_n, both read off that one suffix, and the mutually
   recursive differentials d_n and splittings i_n:
 
-      delta_n(m.uc) = NF(mu).c            (c the tail of the n-chain uc)
+      delta_n(.uc)  = NF(u).c             (c the tail of the n-chain uc)
       j_n(m.t)      = u.vt                (m = uv, vt the n-chain ending mt)
       d_0(.t)       = delta_0(.t)
       d_{n+1}(.t)   = delta_{n+1}(.t) - i_n(d_n(delta_{n+1}(.t)))
@@ -34,12 +34,13 @@ builds:
 
 Every image m.d_n(t) of a basis element, and m.f(t) for a supplied chain map
 f such as the surgered d'_2, is memoized on the complex, keyed by (n, t, f)
-and then by the word m.  A missing image x m'.d_n(t) is the letter x acting
-on the memoized image of its suffix m'.t, so each image costs one letter
-action, and the differentials, the splittings and the graded matrices all
-read the same images.  Graded matrices are stored sparsely, row by row, and
-ranked by one exact elimination (:func:`sparse_rank`) over F_p or the
-rationals.
+and then by the word m; the empty word's entry, d_n(.t) or f(.t), is
+computed there once and read by :meth:`AnickComplex.d_chain`.  A missing
+image x m'.d_n(t) is the letter x acting on the memoized image of its
+suffix m'.t, so each image costs one letter action, and the differentials,
+the splittings and the graded matrices all read the same images.  Graded
+matrices are stored sparsely, row by row, and ranked by one exact
+elimination (:func:`sparse_rank`) over F_p or the rationals.
 """
 
 from __future__ import annotations
@@ -131,12 +132,6 @@ class ModuleElement(LinearCombination):
 
     def coefficient(self, m: Word, chain: Chain):
         return super().coefficient((m, chain))
-
-    def chain_coefficient(self, chain: Chain) -> Polynomial:
-        """The algebra coefficient of the coordinate .chain."""
-        return Polynomial(
-            {m: c for (m, t), c in self.terms.items() if t == chain},
-            self.field, _clean=True)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -296,7 +291,6 @@ class AnickComplex:
         self._by_chars[1] = {c.word.chars: c for c in self.t1}
         self.t2 = self._build_t2()
         self._by_chars[2] = {c.word.chars: c for c in self.t2}
-        self._d_memo: dict[tuple[int, Chain], ModuleElement] = {}
         # (n, chain, dmap) -> m chars -> m.d_n(t) or m.dmap(t), grouped;
         # the key "" holds the image of .t itself
         self._images: dict[tuple, dict[str, _Grouped]] = {}
@@ -318,13 +312,20 @@ class AnickComplex:
         minimal.sort(key=lambda c: self.order.key(c.word))
         return tuple(minimal)
 
+    def _level(self, level: int) -> dict[str, Chain]:
+        """The chains of one level, by word."""
+        chains = self._by_chars.get(level)
+        if chains is None:
+            raise ChainError(
+                f"no chains at level {level}; levels run from -1 to 2")
+        return chains
+
     def chains(self, level: int) -> tuple[Chain, ...]:
-        return {-1: (self.e_chain,), 0: self.t0, 1: self.t1,
-                2: self.t2}[level]
+        return tuple(self._level(level).values())
 
     def chain(self, level: int, w: Word) -> Optional[Chain]:
         """The chain of the given level with word w, or None."""
-        return self._by_chars[level].get(w.chars)
+        return self._level(level).get(w.chars)
 
     def matches_w(self) -> list[tuple[Chain, Chain]]:
         """All (t1, t2) chain pairs of equal weight."""
@@ -393,13 +394,13 @@ class AnickComplex:
             out = out + self.act(w, elt).scale(c)
         return out
 
-    def delta(self, n: int, m: Word, chain: Chain) -> ModuleElement:
-        """delta_n(m.uc) = NF(mu).c, where c is the tail of the n-chain uc."""
+    def delta(self, n: int, chain: Chain) -> ModuleElement:
+        """delta_n(.uc) = NF(u).c, where c is the tail of the n-chain uc."""
         tail = chain.tail
         if chain.level != n or tail is None:
             raise ValueError(f"no delta_{n} on {chain!r}")
         u = chain.word.chars[:len(chain.word.chars) - len(tail.word.chars)]
-        nf = self.system.normal_form_word(Word(m.chars + u))
+        nf = self.system.normal_form_word(Word(u))
         return ModuleElement(n - 1, {(w, tail): c for w, c in nf.items()},
                              self.field)
 
@@ -409,7 +410,7 @@ class AnickComplex:
         j_n(m.t) = u.vt when m = uv and vt is an n-chain (its tail is t).
         A word has at most one n-chain suffix, so the first found is it.
         """
-        lookup = self._by_chars[n]
+        lookup = self._level(n)
         chars, suffix = m.chars, chain.word.chars
         for i in range(len(chars), -1, -1):
             hit = lookup.get(chars[i:] + suffix)
@@ -417,30 +418,27 @@ class AnickComplex:
                 return ModuleElement.basis(Word(chars[:i]), hit, self.field)
         return None
 
-    def d_chain(self, n: int, chain: Chain) -> ModuleElement:
-        """d_n(.t), memoized."""
-        key = (n, chain)
-        hit = self._d_memo.get(key)
-        if hit is not None:
-            return hit
-        result = self.delta(n, EMPTY_WORD, chain)
-        if n > 0:
-            result = result - self.splitting(n - 1, self.d(n - 1, result))
-        self._d_memo[key] = result
-        return result
+    def d_chain(self, n: int, chain: Chain,
+                dmap: Optional[Callable[[Chain], ModuleElement]] = None
+                ) -> ModuleElement:
+        """d_n(.t), or dmap(.t): the empty word's entry of the image memo."""
+        return self._element(n - 1, self._image(n, chain, "", dmap))
 
     def _image(self, n: int, chain: Chain, m: str,
                dmap: Optional[Callable[[Chain], ModuleElement]] = None
                ) -> _Grouped:
         """m.d_n(t), or m.dmap(t), grouped by chain; memoized, read only.
 
-        A missing image x m'.t is the letter x acting on the image of m'.t;
+        The empty word's entry is computed first, from delta_n or dmap.  A
+        missing image x m'.t is the letter x acting on the image of m'.t;
         the memo fills from the longest suffix of m it already holds.
         """
         key = (n, chain, dmap)
         images = self._images.get(key)
         if images is None:
-            base = self.d_chain(n, chain) if dmap is None else dmap(chain)
+            base = self.delta(n, chain) if dmap is None else dmap(chain)
+            if dmap is None and n > 0:
+                base = base - self.splitting(n - 1, self.d(n - 1, base))
             images = self._images[key] = {"": _grouped(base)}
         image = images.get(m)
         if image is not None:
@@ -505,9 +503,7 @@ class AnickComplex:
                     f"factorization; input is not a boundary")
             image = image.scale(c)
             result = result + image
-            ((jm, jt), jc), = image.items()
-            work = work - self._element(
-                n - 1, self._image(n, jt, jm.chars)).scale(jc)
+            work = work - self.d(n, image)
         return result
 
     # -- certificates -----------------------------------------------------------

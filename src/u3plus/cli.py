@@ -289,6 +289,7 @@ def cmd_anick(args) -> int:
     exactness = cx.exactness_check(bound)
     complex_report = cx.complex_check(exactness)
     ok = complex_report["ok"] and all(r.ok for r in exactness)
+    matches = cx.matches_w()
     payload = {
         "t1": [list(c.word.tokens) for c in cx.t1],
         "t2": [list(c.word.tokens) for c in cx.t2],
@@ -297,7 +298,7 @@ def cmd_anick(args) -> int:
                          for c in cx.chains(level)}
             for level in (0, 1, 2)
         },
-        "matches_W": [[str(u.word), str(w.word)] for u, w in cx.matches_w()],
+        "matches_W": [[str(u.word), str(w.word)] for u, w in matches],
         "d1": [r.d1 for r in exactness],
         "d2": [r.d2 for r in exactness],
         "complex_check": complex_report,
@@ -307,7 +308,7 @@ def cmd_anick(args) -> int:
     lines = [
         f"T1 ({len(cx.t1)}): " + ", ".join(str(c.word) for c in cx.t1),
         f"T2 ({len(cx.t2)}): " + ", ".join(str(c.word) for c in cx.t2),
-        f"matches_W: {len(cx.matches_w())} pairs",
+        f"matches_W: {len(matches)} pairs",
         f"complex identities: {'pass' if complex_report['ok'] else 'FAIL'}",
         f"exactness (Deg <= {bound}): "
         f"{'pass' if all(r.ok for r in exactness) else 'FAIL'} "

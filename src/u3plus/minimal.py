@@ -34,6 +34,7 @@ from .free_algebra import (
     Degree,
     EMPTY_WORD,
     FreeAlgebraError,
+    Polynomial,
     Word,
 )
 from .anick import (
@@ -197,7 +198,6 @@ class MinimalResolution:
                 self.cx, _excluded_t2_word(self.ext_window, k),
                 WindowTooSmallError,
                 f"the braid of index {k} has no substitute source")
-        self._d2p_memo: dict[Chain, ModuleElement] = {}
 
     @staticmethod
     def _max_index(chain: Chain) -> int:
@@ -206,25 +206,25 @@ class MinimalResolution:
     # -- the corrected differential -------------------------------------------
 
     def d2_prime(self, chain: Chain) -> ModuleElement:
-        """d_2 with every braid coordinate substituted away.
+        """d_2 with every braid coordinate substituted away: the empty
+        word's entry of the complex's image memo under :meth:`_surgery`."""
+        return self.cx.d_chain(2, chain, self._surgery)
+
+    def _surgery(self, chain: Chain) -> ModuleElement:
+        """d'_2(.t), computed from d_2(.t); read it through the memo.
 
         The substitute source hits its braid coordinate with a unit scalar
         (+1 or -1 depending on the parity of the characteristic), so adding
         the right multiple of its boundary cancels the coordinate exactly
         while staying inside the image of d_2.
         """
-        hit = self._d2p_memo.get(chain)
-        if hit is not None:
-            return hit
         cx = self.cx
         field = cx.field
         f = cx.d_chain(2, chain)
         while True:
-            worst = None
-            for k, braid in self._braid_chain.items():
-                coeff = f.chain_coefficient(braid)
-                if not coeff.is_zero and (worst is None or k > worst):
-                    worst = k
+            present = {t for _m, t in f.terms}
+            worst = max((k for k, braid in self._braid_chain.items()
+                         if braid in present), default=None)
             if worst is None:
                 break
             sub = self._substitute_chain.get(worst)
@@ -239,10 +239,10 @@ class MinimalResolution:
                 raise WindowTooSmallError(
                     f"substitute source {sub.word} does not reach the braid "
                     f"coordinate of index {worst}")
-            r_k = f.chain_coefficient(braid)
+            r_k = Polynomial({m: c for (m, t), c in f.terms.items()
+                              if t == braid}, field, _clean=True)
             factor = field.neg(field.invert(unit))
             f = f + cx.act_poly(r_k.scale(factor), boundary)
-        self._d2p_memo[chain] = f
         return f
 
     # -- certificates ------------------------------------------------------------
@@ -267,7 +267,7 @@ class MinimalResolution:
             m1 = cx.matrix(1, degree, self.t1_prime_ext)
             m2 = cx.matrix(2, degree, source_chains=self.t2_prime_ext,
                            target_chains=self.t1_prime_ext,
-                           dmap=self.d2_prime)
+                           dmap=self._surgery)
             reports.append(PrimeDegreeReport(
                 degree, len(m2.row_labels), m1.rank(cx.field),
                 m2.rank(cx.field), m2))

@@ -221,7 +221,7 @@ class TestChainSets:
             assert cx31.chain(level - 1, tail.word) is tail
             assert c.word.chars.endswith(tail.word.chars)
             u = Word(c.word.chars[:len(c.word.chars) - len(tail.word.chars)])
-            assert cx31.delta(level, EMPTY_WORD, c) == cx31.act_poly(
+            assert cx31.delta(level, c) == cx31.act_poly(
                 cx31.system.normal_form_word(u),
                 ModuleElement.basis(EMPTY_WORD, tail, cx31.field))
             if level == 2:
@@ -267,6 +267,19 @@ class TestChainSets:
         cx = AnickComplex(system)
         assert cx.t1 == ()
         assert cx.t2 == ()
+
+    @pytest.mark.parametrize("level", [3, -2])
+    @pytest.mark.parametrize("call", [
+        lambda cx, n: cx.chains(n),
+        lambda cx, n: cx.chain(n, cx.t0[0].word),
+        lambda cx, n: cx.basis(n, Degree(2, 2)),
+        lambda cx, n: cx.matrix(n, Degree(2, 2)),
+        lambda cx, n: cx.jmap(n, cx.t0[0].word, cx.t0[0]),
+    ], ids=["chains", "chain", "basis", "matrix", "jmap"])
+    def test_level_out_of_range_is_typed(self, cx21, call, level):
+        with pytest.raises(ChainError, match=f"level {level}; levels run "
+                                             "from -1 to 2"):
+            call(cx21, level)
 
 
 class TestDegreeTables:
@@ -326,14 +339,14 @@ class TestMatchesW:
 class TestDeltaAndJ:
     def test_delta0_on_generator(self, cx21):
         x = cx21.t0[0]
-        got = cx21.delta(0, EMPTY_WORD, x)
+        got = cx21.delta(0, x)
         assert got == ModuleElement.basis(x.word, cx21.e_chain, cx21.field)
 
     def test_delta_needs_a_chain_of_its_level_with_a_tail(self, cx21):
         with pytest.raises(ValueError, match="no delta_1"):
-            cx21.delta(1, EMPTY_WORD, cx21.t0[0])
+            cx21.delta(1, cx21.t0[0])
         with pytest.raises(ValueError, match="no delta_-1"):
-            cx21.delta(-1, EMPTY_WORD, cx21.e_chain)
+            cx21.delta(-1, cx21.e_chain)
 
     def test_j1_no_factorization(self, cx21):
         m = W(2, ("a", 0), ("b", 0))
@@ -350,7 +363,7 @@ class TestDeltaAndJ:
     def test_delta2_example(self, cx21):
         chain = cx21.chain(
             2, W(2, ("b", 0), ("a", 0), ("b", 0), ("a", 0), ("a", 0)))
-        got = cx21.delta(2, EMPTY_WORD, chain)
+        got = cx21.delta(2, chain)
         sq = cx21.chain(1, W(2, ("a", 0), ("a", 0)))
         assert got == ModuleElement.basis(
             W(2, ("b", 0), ("a", 0), ("b", 0)), sq, cx21.field)
@@ -403,7 +416,7 @@ class TestDifferentials:
             for t in cx.chains(level):
                 image = cx.d_chain(level, t)
                 (mm, tt), _c = cx.leading_basis_term(image)
-                delta = cx.delta(level, EMPTY_WORD, t)
+                delta = cx.delta(level, t)
                 assert next(iter(delta.terms)) == (mm, tt)
 
     @pytest.mark.parametrize("p,m", [(2, 2), (3, 1)])
@@ -671,6 +684,9 @@ def test_memoized_chain_map_images_match_action(p, bound):
                 continue
             got = cx._element(1, cx._image(2, t, m.chars))
             assert got == cx.act(m, cx.d_chain(2, t)), (t, m)
-            got = cx._element(1, cx._image(2, t, m.chars, res.d2_prime))
+            got = cx._element(1, cx._image(2, t, m.chars, res._surgery))
             assert got == cx.act(m, res.d2_prime(t)), (t, m)
+        # d'_2(.t) is the empty word's entry of the same memo
+        assert res.d2_prime(t) == cx._element(
+            1, cx._image(2, t, "", res._surgery))
     assert surgered

@@ -110,7 +110,7 @@ class TestD2Prime:
     def test_window_too_small_reported(self):
         res = MinimalResolution(Window(2, 0, 1), 8)
         res._substitute_chain.clear()
-        res._d2p_memo.clear()
+        res.cx._images.clear()
         needs_braid = res.cx.chain(2, W2(("b", 1), ("a", 0), ("a", 0)))
         with pytest.raises(WindowTooSmallError):
             res.d2_prime(needs_braid)
@@ -132,6 +132,22 @@ class TestD2Prime:
             "a0*a0*a0", "b0*b0*b0", "b0*a0*b0*a0*a0", "b0*b0*a0*b0*a0",
             "b0*a0*b0*a0*b0*a0"}
         assert all(radical_membership(v) for v in mapping.values())
+
+    @pytest.mark.parametrize("p,bound", [(2, 8), (3, 12)])
+    def test_each_chain_surgered_once(self, monkeypatch, p, bound):
+        # d'_2(.t) lives in the complex's image memo, so a report computes
+        # the surgery once per chain however often it reads the image
+        calls = []
+        surgery = MinimalResolution._surgery
+
+        def counted(res, chain):
+            calls.append(chain)
+            return surgery(res, chain)
+
+        monkeypatch.setattr(MinimalResolution, "_surgery", counted)
+        assert MinimalResolution(Window(p, 0, 1), bound).report().ok
+        assert calls
+        assert len(calls) == len(set(calls))
 
 
 class TestCoefficientChecks:
