@@ -38,14 +38,21 @@ and then by the word m; the empty word's entry, d_n(.t) or f(.t), is
 computed there once and read by :meth:`AnickComplex.d_chain`.  A missing
 image x m'.d_n(t) is the letter x acting on the memoized image of its
 suffix m'.t, so each image costs one letter action, and the differentials,
-the splittings and the graded matrices all read the same images.  Graded
-matrices are stored sparsely, row by row, and ranked by one exact
-elimination (:func:`sparse_rank`) over F_p or the rationals.
+the splittings and the graded matrices all read the same images; a letter
+acts from the system's letter-action memo, computing only missing entries.
+
+A graded basis is sorted on the words mt with each letter translated to
+its rank, and the bases of the degree being certified are kept, so the
+matrices meeting at one basis (the columns of d_n, the rows of d_{n+1})
+share one list.  Graded matrices are stored sparsely, row by row, and
+ranked by one exact elimination (:func:`sparse_rank`) over F_p or the
+rationals that pivots at the smallest source basis element of each row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .free_algebra import (
@@ -196,9 +203,11 @@ def sparse_rank(rows: Iterable[Iterable[tuple[int, object]]],
     """Rank of the matrix whose rows are (column, coefficient) pairs, by
     exact elimination over the field: residues mod p, or Fractions.
 
-    Each row is reduced at its leading (smallest) column against the pivot
-    row of that column until it vanishes or reaches a column with no pivot
-    yet, whose pivot it then becomes.
+    Each row is reduced at its largest column against the pivot row of
+    that column until it vanishes or reaches a column with no pivot yet,
+    whose pivot it then becomes.  The columns of a graded matrix run down
+    the source basis, so the largest column is its smallest element; on the
+    Anick matrices this takes far fewer steps than the smallest column.
     """
     p = field.characteristic
     coerce = field.coerce
@@ -210,7 +219,7 @@ def sparse_rank(rows: Iterable[Iterable[tuple[int, object]]],
             if c:
                 vec[j] = c
         while vec:
-            lead = min(vec)
+            lead = max(vec)
             pivot = pivots.get(lead)
             if pivot is None:
                 inv = field.invert(vec[lead])
@@ -277,8 +286,13 @@ class AnickComplex:
     def __init__(self, system: RewriteSystem):
         if not system.is_reduced():
             raise ChainError("the Anick construction needs a reduced basis")
+        if system.order.variant != "deglex":
+            raise ChainError("the graded bases are keyed by a deglex order")
         self.system = system
         self.order = system.order
+        # words of one weight compare in deglex as their letters' ranks do
+        self._rank_table = {ord(g.char): i
+                            for i, g in enumerate(self.order.ranking)}
         self.field = system.field
         self.e_chain = Chain(-1, EMPTY_WORD)
         self.t0 = tuple(Chain(0, Word(g.char), self.e_chain)
@@ -296,6 +310,10 @@ class AnickComplex:
         self._images: dict[tuple, dict[str, _Grouped]] = {}
         self._words_bound = -1
         self._words_by_degree: dict[Degree, list[Word]] = {}
+        # the bases of one degree, by (level, chain set): the matrices that
+        # meet at a basis share its list
+        self._bases_degree: Optional[Degree] = None
+        self._bases: dict[tuple, list[tuple[Word, Chain]]] = {}
 
     # -- chain sets ---------------------------------------------------------
 
@@ -347,30 +365,40 @@ class AnickComplex:
         self._words_bound = norm_bound
 
     def pair_key(self, m: Word, chain: Chain):
-        """Basis order on m.t via the word mt, ties broken by t (which with
-        mt determines m)."""
-        key = self.order.key
-        return key(m.chars + chain.word.chars), key(chain.word.chars)
+        """Basis order on m.t via the word mt, which determines m.t within
+        one level: mt has at most one chain suffix there."""
+        return self.order.key(m.chars + chain.word.chars)
 
     def basis(self, level: int, degree: Degree,
               chain_set: Optional[Sequence[Chain]] = None
               ) -> list[tuple[Word, Chain]]:
         """The K-basis of (P_level)_degree, sorted descending by
-        :meth:`pair_key`."""
-        chains = self.chains(level) if chain_set is None else chain_set
-        key = self.order.key
-        chain_key: dict[Chain, tuple] = {}
-        out: list[tuple[Word, Chain]] = []
+        :meth:`pair_key`.
+
+        The bases of one degree are kept until a basis of another degree is
+        asked for, so the matrices that meet at one basis share its list.
+        """
+        if degree != self._bases_degree:
+            self._bases_degree, self._bases = degree, {}
+        chains = self.chains(level) if chain_set is None else tuple(chain_set)
+        out = self._bases.get((level, chains))
+        if out is not None:
+            return out
+        self._ensure_words(degree.norm)
+        words = self._words_by_degree
+        table = self._rank_table
+        keyed: list[tuple[str, Word, Chain]] = []
         for t in chains:
             rest = degree - t.degree
             if rest.alpha < 0 or rest.beta < 0:
                 continue
-            chain_key[t] = key(t.word.chars)
-            self._ensure_words(rest.norm)
-            for m in self._words_by_degree.get(rest, ()):
-                out.append((m, t))
-        out.sort(key=lambda mt: (key(mt[0].chars + mt[1].word.chars),
-                                 chain_key[mt[1]]), reverse=True)
+            rt = t.word.chars.translate(table)
+            keyed.extend((m.chars.translate(table) + rt, m, t)
+                         for m in words.get(rest, ()))
+        # every mt of one degree has the same weight, so pair_key compares
+        # the ranks of the letters of mt
+        keyed.sort(key=itemgetter(0), reverse=True)
+        out = self._bases[(level, chains)] = [(m, t) for _r, m, t in keyed]
         return out
 
     # -- the maps -------------------------------------------------------------
@@ -540,10 +568,11 @@ class AnickComplex:
     def relevant_degrees(self, deg_bound: int) -> list[Degree]:
         """Degrees (<= bound) in which some P_n has a nonzero component."""
         self._ensure_words(deg_bound)
-        return sorted({d for level in (-1, 0, 1, 2)
-                       for t in self.chains(level)
+        chain_degrees = {t.degree for level in (-1, 0, 1, 2)
+                         for t in self.chains(level)}
+        return sorted({d for cd in chain_degrees
                        for md in self._words_by_degree
-                       if (d := t.degree + md).norm <= deg_bound})
+                       if (d := cd + md).norm <= deg_bound})
 
     def exactness_check(self, deg_bound: int) -> list[DegreeReport]:
         """Rank-nullity certificates per degree: the complex is exact at P_0

@@ -272,14 +272,31 @@ class RewriteSystem:
             _add_scaled(out, image, 1, p)
         return out
 
+    def _act_from_memo(self, x: str, terms: dict) -> Optional[dict]:
+        """x . terms read from the memo alone, or None at a missing entry."""
+        memo = self._action
+        p = self.field.characteristic
+        out: dict[str, object] = {}
+        for v, c in terms.items():
+            image = memo.get(x + v)
+            if image is None:
+                return None
+            _add_scaled(out, image, c, p)
+        return out
+
     def _left_multiply(self, letters: str, terms: dict) -> dict:
         """NF(letters . terms) for a char-string -> coefficient map over
         irreducible words.
 
-        Missing letter actions are computed on an explicit stack (each one
-        only needs strictly smaller words), so deep derivations use no
-        Python recursion.
+        A single letter whose every entry is in the memo acts straight from
+        it.  Otherwise missing letter actions are computed on an explicit
+        stack (each one only needs strictly smaller words), so deep
+        derivations use no Python recursion.
         """
+        if len(letters) == 1:
+            acted = self._act_from_memo(letters, terms)
+            if acted is not None:
+                return acted
         memo = self._action
         stack: list[tuple[Optional[str], _ActionSteps]] = [
             (None, self._letters_steps(letters, terms))]

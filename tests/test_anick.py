@@ -690,3 +690,96 @@ def test_memoized_chain_map_images_match_action(p, bound):
         assert res.d2_prime(t) == cx._element(
             1, cx._image(2, t, "", res._surgery))
     assert surgered
+
+
+@pytest.mark.parametrize("p,m,bound", [(2, 1, 8), (3, 1, 12), (2, 2, 10)])
+def test_basis_is_sorted_by_pair_key(p, m, bound):
+    """basis() sorts on ranks derived once per word and chain; the order is
+    descending pair_key, for the full and the primed chain sets."""
+    from u3plus.minimal import reduced_chain_sets
+    cx = complex_for(p, m)
+    t1p, t2p = reduced_chain_sets(cx, Window(p, 0, m))
+    words = cx.system.irreducible_words(bound)
+    checked = 0
+    for degree in cx.relevant_degrees(bound):
+        for level, primed in ((-1, None), (0, None), (1, t1p), (2, t2p)):
+            for chains in {None, primed}:
+                pool = cx.chains(level) if chains is None else chains
+                want = sorted(((w, t) for t in pool for w in words
+                               if w.degree + t.degree == degree),
+                              key=lambda mt: cx.pair_key(*mt), reverse=True)
+                assert cx.basis(level, degree, chains) == want
+                checked += len(want)
+    assert checked
+
+
+def _matrices_built(monkeypatch, cx):
+    built = []
+    matrix = cx.matrix
+
+    def recording(*args, **kwargs):
+        built.append(matrix(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cx, "matrix", recording)
+    return built
+
+
+@pytest.mark.parametrize("p,bound", [(2, 8), (3, 12)])
+def test_matrices_share_the_bases_they_meet_at(monkeypatch, p, bound):
+    """In one degree, the columns of d_n are the very list that labels the
+    rows of d_{n+1}, and the columns of d1' the rows of d'_2."""
+    cx = AnickComplex(small_groebner_basis(Window(p, 0, 1)))
+    built = _matrices_built(monkeypatch, cx)
+    reports = cx.exactness_check(bound)
+    assert len(built) == 3 * len(reports)
+    for r, (d0, d1, d2) in zip(reports, zip(*[iter(built)] * 3)):
+        assert d1 is r.d1 and d2 is r.d2
+        assert d0.col_labels is d1.row_labels
+        assert d1.col_labels is d2.row_labels
+    res = MinimalResolution(Window(p, 0, 1), bound)
+    built = _matrices_built(monkeypatch, res.cx)
+    reports = res.exactness_at_p1_prime()
+    assert len(built) == 2 * len(reports)
+    for r, (d1p, d2p) in zip(reports, zip(*[iter(built)] * 2)):
+        assert d2p is r.d2_prime
+        assert d1p.col_labels is d2p.row_labels
+
+
+def test_bases_of_other_degrees_are_not_kept(cx21):
+    """Only the degree being certified keeps its bases."""
+    first = cx21.basis(0, Degree(2, 1))
+    assert cx21.basis(0, Degree(2, 1)) is first
+    cx21.basis(0, Degree(1, 2))
+    again = cx21.basis(0, Degree(2, 1))
+    assert again == first and again is not first
+
+
+def _dense(mat):
+    rows = [[0] * len(mat.col_labels) for _ in mat.row_labels]
+    for i, row in enumerate(mat.entries):
+        for j, c in row:
+            rows[i][j] = c
+    return rows
+
+
+@pytest.mark.parametrize("p,bound", [(2, 8), (3, 12)])
+def test_sparse_rank_matches_dense_reference_on_anick_matrices(
+        monkeypatch, p, bound):
+    """The pivot order suits the Anick matrices, so check it on them: d0, d1,
+    d2 of the complex and d1', d'_2 of the surgered one."""
+    cx = AnickComplex(small_groebner_basis(Window(p, 0, 1)))
+    built = _matrices_built(monkeypatch, cx)
+    cx.exactness_check(bound)
+    if p == 2:
+        res = MinimalResolution(Window(2, 0, 1), 8)
+        primed = _matrices_built(monkeypatch, res.cx)
+        res.exactness_at_p1_prime()
+        assert primed
+        built += primed
+    ranked = 0
+    for mat in built:
+        rank = sparse_rank(mat.entries, cx.field)
+        assert rank == dense_rank(_dense(mat), cx.field), mat.degree
+        ranked += rank
+    assert ranked

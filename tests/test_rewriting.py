@@ -12,6 +12,7 @@ from u3plus import (
     QQ,
     RewriteRule,
     RewriteSystem,
+    Window,
     Word,
     divided_alphabet,
     divided_generator,
@@ -20,6 +21,7 @@ from u3plus import (
     gen_b,
     parse_poly,
     rule_from_poly,
+    small_groebner_basis,
     small_window_alphabet,
     spolynomial,
     word,
@@ -147,6 +149,44 @@ class TestNormalForm:
         from u3plus import evaluate_poly
         f = parse_poly("b0*b0*a0*a0", FieldSpec(3))
         assert evaluate_poly(g31.normal_form(f)) == evaluate_poly(f)
+
+    @pytest.mark.parametrize("p,m,bound", [(2, 2, 6), (3, 1, 8)])
+    def test_letter_action_cold_warm_and_refilled(self, p, m, bound):
+        """x . f for one letter x equals NF(x f) whether the memo is cold,
+        warm, or warm but missing one entry that x . f needs; the miss path
+        refills that entry."""
+        system = small_groebner_basis(Window(p, 0, m))
+        ref = small_groebner_basis(Window(p, 0, m))
+        field = system.field
+        by_degree = {}
+        for w in system.irreducible_words(bound):
+            by_degree.setdefault(w.degree, []).append(w)
+        # one homogeneous combination of irreducible words per degree, with
+        # coefficients 1, 2, ..., p - 1, 1, ...
+        combos = [{w.chars: field.coerce(1 + i % (p - 1))
+                   for i, w in enumerate(ws)} for ws in by_degree.values()]
+        cases = [(g.char, terms) for g in system.alphabet for terms in combos]
+
+        def expected(x, terms):
+            f = Polynomial({Word(v): c for v, c in terms.items()}, field)
+            nf = ref.normal_form(Polynomial.monomial(Word(x), field) * f)
+            return {w.chars: c for w, c in nf.items()}
+
+        assert not system._action
+        cold = [system._left_multiply(x, terms) for x, terms in cases]
+        assert cold == [expected(x, terms) for x, terms in cases]
+        filled = len(system._action)
+        warm = [system._left_multiply(x, terms) for x, terms in cases]
+        assert warm == cold
+        assert len(system._action) == filled
+        refilled = 0
+        for (x, terms), want in zip(cases, cold):
+            key = x + next(iter(terms))
+            value = system._action.pop(key)
+            assert system._left_multiply(x, terms) == want
+            assert system._action[key] == value
+            refilled += 1
+        assert refilled == len(cases)
 
 
 class TestOverlaps:
