@@ -324,9 +324,12 @@ class AnickComplex:
         tips = {cp.tip.chars: Chain(2, cp.tip,
                                     self.chain(1, rules[cp.rule2].lhs))
                 for cp in self.system.critical_pairs()}
+        # a tip is minimal when no proper factor of it is another tip
+        lengths = {len(chars) for chars in tips}
         minimal = [c for chars, c in tips.items()
-                   if not any(other != chars and other in chars
-                              for other in tips)]
+                   if not any(chars[pos:pos + ln] in tips
+                              for ln in lengths if ln < len(chars)
+                              for pos in range(len(chars) - ln + 1))]
         minimal.sort(key=lambda c: self.order.key(c.word))
         return tuple(minimal)
 

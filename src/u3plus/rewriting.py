@@ -7,7 +7,10 @@ reduction the module provides overlap enumeration, critical pairs,
 completeness and reducedness certificates, subalphabet restriction and
 bounded irreducible-word enumeration.  The window bases are written down in
 full (``kostant.small_groebner_basis``) and certified complete, so nothing
-here completes a system.
+here completes a system.  Those certificates scan no rule pairs: a word's
+lhs factors, and the rules whose lhs starts with a suffix of another lhs,
+are found by slicing and looking the slice up in a dictionary of left-hand
+sides (or, within one ``critical_pairs`` call, of their proper prefixes).
 
 Subalphabet restriction keeps the rules whose left-hand side uses only the
 given letters and raises ``RestrictionError`` when such a rule's right-hand
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .free_algebra import (
     FieldSpec,
@@ -105,14 +108,15 @@ class CriticalPair:
 def spolynomial(system: "RewriteSystem", cp: CriticalPair) -> Polynomial:
     """rhs difference of the two reductions of the tip; 0-reducibility of all
     of these is exactly completeness."""
-    r1 = system.rules[cp.rule1]
-    r2 = system.rules[cp.rule2]
-    fld = system.field
-    um = Polynomial.monomial(cp.u, fld)
-    vm = Polynomial.monomial(cp.v, fld)
-    if cp.case == "overlap":
-        return r1.rhs * vm - um * r2.rhs
-    return r1.rhs - um * r2.rhs * vm
+    u, v = cp.u.chars, cp.v.chars
+    # overlap: r1.rhs . v - u . r2.rhs; containment: r1.rhs - u . r2.rhs . v
+    v1, v2 = (v, "") if cp.case == "overlap" else ("", v)
+    acc = {w.chars + v1: c for w, c in system.rules[cp.rule1].rhs.items()}
+    _add_scaled(acc, {u + w.chars + v2: c
+                      for w, c in system.rules[cp.rule2].rhs.items()},
+                -1, system.field.characteristic)
+    return Polynomial({Word(chars): c for chars, c in acc.items()},
+                      system.field, _clean=True)
 
 
 def find_overlaps(m1: Word, m2: Word) -> list[tuple[Word, Word, Word, str]]:
@@ -356,14 +360,42 @@ class RewriteSystem:
 
     # -- certificates ----------------------------------------------------------
 
+    def _lhs_factors(self, chars: str) -> Iterator[int]:
+        """The rules whose lhs is a factor of chars, one per occurrence."""
+        index = self._rule_index
+        for ln in self._lhs_lengths:
+            for pos in range(len(chars) - ln + 1):
+                idx = index.get(chars[pos:pos + ln])
+                if idx is not None:
+                    yield idx
+
     def critical_pairs(self) -> tuple[CriticalPair, ...]:
-        """All overlaps and containments between ordered rule pairs."""
+        """All overlaps and containments between ordered rule pairs.
+
+        Only partners meet in ``find_overlaps``: rule j is a partner of rule
+        i when lhs_j starts with a proper suffix of lhs_i (looked up in a map
+        from proper prefixes to rules) or is a proper factor of lhs_i.  Any
+        other pair has no skeleton.
+        """
+        by_prefix: dict[str, list[int]] = {}
+        for j, rule in enumerate(self.rules):
+            lhs = rule.lhs.chars
+            for k in range(1, len(lhs)):
+                by_prefix.setdefault(lhs[:k], []).append(j)
         out: list[CriticalPair] = []
         for i, r1 in enumerate(self.rules):
-            for j, r2 in enumerate(self.rules):
-                for tip, u, v, case in find_overlaps(r1.lhs, r2.lhs):
+            s1 = r1.lhs.chars
+            partners = {j for j in self._lhs_factors(s1) if j != i}
+            for k in range(1, len(s1)):
+                partners.update(by_prefix.get(s1[k:], ()))
+            for j in partners:
+                for tip, u, v, case in find_overlaps(r1.lhs,
+                                                     self.rules[j].lhs):
                     out.append(CriticalPair(tip, i, j, u, v, case))
-        out.sort(key=lambda cp: (self.order.key(cp.tip), cp.rule1, cp.rule2,
+        # the key is total on pairs, so the order partners are met in is moot
+        tip_keys = {chars: self.order.key(chars)
+                    for chars in {cp.tip.chars for cp in out}}
+        out.sort(key=lambda cp: (tip_keys[cp.tip.chars], cp.rule1, cp.rule2,
                                  len(cp.u.chars), cp.case))
         return tuple(out)
 
@@ -379,13 +411,11 @@ class RewriteSystem:
 
     def is_reduced(self) -> bool:
         """No rule's monomials contain another rule's lhs as a factor."""
-        lhs_chars = [r.lhs.chars for r in self.rules]
         for i, rule in enumerate(self.rules):
-            for j, other in enumerate(lhs_chars):
-                if i != j and other in rule.lhs.chars:
-                    return False
+            if any(j != i for j in self._lhs_factors(rule.lhs.chars)):
+                return False
             for w in rule.rhs.terms:
-                if any(other in w.chars for other in lhs_chars):
+                if next(self._lhs_factors(w.chars), None) is not None:
                     return False
         return True
 
@@ -413,10 +443,8 @@ class RewriteSystem:
         """All words of total weight <= deg_bound with no lhs factor."""
         # extending an irreducible word by a letter can only create a redex
         # that ends in that letter
-        lhs_by_last: dict[str, list[str]] = {}
-        for r in self.rules:
-            lhs = r.lhs.chars
-            lhs_by_last.setdefault(lhs[-1], []).append(lhs)
+        index = self._rule_index
+        lengths = self._lhs_lengths
         out: list[Word] = []
         letters = [(g.char, g.degree.norm) for g in self.alphabet]
 
@@ -426,7 +454,7 @@ class RewriteSystem:
                 if norm + dn > deg_bound:
                     continue
                 cand = chars + ch
-                if any(cand.endswith(l) for l in lhs_by_last.get(ch, ())):
+                if any(cand[-ln:] in index for ln in lengths):
                     continue
                 extend(cand, norm + dn)
 

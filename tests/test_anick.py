@@ -239,11 +239,17 @@ class TestChainSets:
         cx = complex_for(3, 2)
         assert cx.chain(1, W(3, ("a", 1), ("b", 1))) is None
 
-    def test_t2_tips_are_minimal_critical_tips(self, cx22):
-        tips = {cp.tip for cp in cx22.system.critical_pairs()}
-        minimal = {t for t in tips
-                   if not any(o != t and o.chars in t.chars for o in tips)}
-        assert {c.word for c in cx22.t2} == minimal
+    def test_t2_tips_are_minimal_critical_tips(self):
+        for p, m in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+            cx = complex_for(p, m)
+            rules = cx.system.rules
+            tips = {cp.tip.chars: (cp.tip, rules[cp.rule2].lhs)
+                    for cp in cx.system.critical_pairs()}
+            minimal = [pair for chars, pair in tips.items()
+                       if not any(other != chars and other in chars
+                                  for other in tips)]
+            minimal.sort(key=lambda pair: cx.order.key(pair[0]))
+            assert [(c.word, c.tail.word) for c in cx.t2] == minimal, (p, m)
 
     def test_boundary_tips_are_forced(self, cx31):
         """b a^p is a genuine chain: without it the complex is not exact in

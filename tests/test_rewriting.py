@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 
@@ -26,8 +27,13 @@ from u3plus import (
     spolynomial,
     word,
 )
+from u3plus import rewriting
 from u3plus.kostant import big_rewrite_system
-from u3plus.rewriting import RestrictionError, RewriteSystemError
+from u3plus.rewriting import (
+    CriticalPair,
+    RestrictionError,
+    RewriteSystemError,
+)
 
 from conftest import system_for
 
@@ -40,12 +46,55 @@ def _irreducible(system, w):
     return system.reduce_once(Polynomial.monomial(w, system.field)) is None
 
 
+def _window_system(*polys):
+    alphabet = small_window_alphabet(2, 0, 1)
+    return RewriteSystem.from_polynomials(
+        [parse_poly(f, F2) for f in polys], OrderSpec.deglex(alphabet), F2,
+        alphabet)
+
+
 def toy_system():
     """{a b -> 0, b a -> a}: the classic non-confluent pair."""
-    order = OrderSpec.deglex(small_window_alphabet(2, 0, 1))
-    polys = [parse_poly("a0*b0", F2), parse_poly("b0*a0 - a0", F2)]
-    return RewriteSystem.from_polynomials(polys, order, F2,
-                                          small_window_alphabet(2, 0, 1))
+    return _window_system("a0*b0", "b0*a0 - a0")
+
+
+def nested_lhs_system():
+    """{a a -> 0, a a a -> b}: one lhs inside another."""
+    return _window_system("a0*a0", "a0*a0*a0 - b0")
+
+
+def inner_lhs_system():
+    """{b -> 0, a b a -> a a}: an lhs inside another with no overlap."""
+    return _window_system("b0", "a0*b0*a0 - a0*a0")
+
+
+def rhs_factor_system():
+    """{a a -> 0, b a b -> a a b}: an lhs inside another rule's rhs."""
+    return _window_system("a0*a0", "b0*a0*b0 - a0*a0*b0")
+
+
+@functools.lru_cache(maxsize=None)
+def _big_system(p, bound):
+    return big_rewrite_system(FieldSpec(p), bound, truncated=True)
+
+
+# the systems the all-pairs references below are checked on
+PAIR_SYSTEMS = {
+    "toy": toy_system,
+    "nested": nested_lhs_system,
+    "inner": inner_lhs_system,
+    "g21": lambda: system_for(2, 1),
+    "g22": lambda: system_for(2, 2),
+    "g31": lambda: system_for(3, 1),
+    "big-F2-3": lambda: _big_system(2, 3),
+    "big-F3-8": lambda: _big_system(3, 8),
+}
+REDUCEDNESS_SYSTEMS = {
+    **PAIR_SYSTEMS,
+    "g32": lambda: system_for(3, 2),
+    "g51": lambda: system_for(5, 1),
+    "rhs-factor": rhs_factor_system,
+}
 
 
 class TestRuleFromPoly:
@@ -261,6 +310,50 @@ class TestCriticalPairs:
         assert all(g22.normal_form(spolynomial(g22, cp)).is_zero
                    for cp in g22.critical_pairs())
 
+    @pytest.mark.parametrize("name", PAIR_SYSTEMS)
+    def test_matches_all_pairs_reference(self, monkeypatch, name):
+        system = PAIR_SYSTEMS[name]()
+        expected = [CriticalPair(tip, i, j, u, v, case)
+                    for i, r1 in enumerate(system.rules)
+                    for j, r2 in enumerate(system.rules)
+                    for tip, u, v, case in find_overlaps(r1.lhs, r2.lhs)]
+        expected.sort(key=lambda cp: (system.order.key(cp.tip), cp.rule1,
+                                      cp.rule2, len(cp.u.chars), cp.case))
+        returned = []
+
+        def recording(m1, m2):
+            skeletons = find_overlaps(m1, m2)
+            returned.append(skeletons)
+            return skeletons
+
+        monkeypatch.setattr(rewriting, "find_overlaps", recording)
+        assert system.critical_pairs() == tuple(expected)
+        # only rule pairs that meet are tried
+        assert all(returned)
+
+    def test_containment_reaches_critical_pairs(self):
+        pairs = nested_lhs_system().critical_pairs()
+        assert {(str(cp.tip), str(cp.u), str(cp.v))
+                for cp in pairs if cp.case == "containment"} == {
+            ("a0*a0*a0", "1", "a0"), ("a0*a0*a0", "a0", "1")}
+        pairs = inner_lhs_system().critical_pairs()
+        assert [(str(cp.tip), cp.rule1, cp.rule2, str(cp.u), str(cp.v))
+                for cp in pairs if cp.case == "containment"] == [
+            ("a0*b0*a0", 1, 0, "a0", "a0")]
+
+    @pytest.mark.parametrize("name", PAIR_SYSTEMS)
+    def test_spolynomial_matches_polynomial_arithmetic(self, name):
+        system = PAIR_SYSTEMS[name]()
+        for cp in system.critical_pairs():
+            r1, r2 = system.rules[cp.rule1], system.rules[cp.rule2]
+            u = Polynomial.monomial(cp.u, system.field)
+            v = Polynomial.monomial(cp.v, system.field)
+            if cp.case == "overlap":
+                expected = r1.rhs * v - u * r2.rhs
+            else:
+                expected = r1.rhs - u * r2.rhs * v
+            assert spolynomial(system, cp) == expected, cp
+
 
 class TestCompletenessCertificates:
     @pytest.mark.parametrize("p,m", [(2, 2), (3, 1)])
@@ -289,12 +382,24 @@ class TestIsReduced:
         assert g31.is_reduced()
 
     def test_nested_lhs_not_reduced(self):
-        order = OrderSpec.deglex(small_window_alphabet(2, 0, 1))
-        polys = [parse_poly("a0*a0", F2),
-                 parse_poly("a0*a0*a0 - b0", F2)]
-        system = RewriteSystem.from_polynomials(
-            polys, order, F2, small_window_alphabet(2, 0, 1))
+        assert not nested_lhs_system().is_reduced()
+
+    def test_lhs_inside_another_rules_rhs_not_reduced(self):
+        system = rhs_factor_system()
+        assert [str(r) for r in system.rules] == [
+            "a0*a0 -> 0", "b0*a0*b0 -> a0*a0*b0"]
         assert not system.is_reduced()
+
+    @pytest.mark.parametrize("name", REDUCEDNESS_SYSTEMS)
+    def test_matches_all_pairs_predicate(self, name):
+        system = REDUCEDNESS_SYSTEMS[name]()
+        lhs = [r.lhs.chars for r in system.rules]
+        expected = not any(
+            (i != j and other in rule.lhs.chars)
+            or any(other in w.chars for w in rule.rhs.terms)
+            for i, rule in enumerate(system.rules)
+            for j, other in enumerate(lhs))
+        assert system.is_reduced() == expected
 
     def test_empty_reduced(self):
         order = OrderSpec.deglex(small_window_alphabet(2, 0, 1))
