@@ -410,14 +410,10 @@ class AnickComplex:
         """Left action of a word on an element whose words are irreducible:
         the letters of m act through the system's letter-action memo."""
         chars = m.chars if isinstance(m, Word) else m
-        if not chars:
-            return elt
         left_multiply = self.system._left_multiply
-        out: dict[tuple[Word, Chain], object] = {}
-        for t, terms in _grouped(elt).items():
-            for chars2, c2 in left_multiply(chars, terms).items():
-                out[(Word(chars2), t)] = c2
-        return ModuleElement(elt.level, out, self.field, _clean=True)
+        return self._element(elt.level, {
+            t: left_multiply(chars, terms)
+            for t, terms in _grouped(elt).items()})
 
     def act_poly(self, f: Polynomial, elt: ModuleElement) -> ModuleElement:
         out = ModuleElement.zero(elt.level, self.field)
@@ -431,9 +427,7 @@ class AnickComplex:
         if chain.level != n or tail is None:
             raise ValueError(f"no delta_{n} on {chain!r}")
         u = chain.word.chars[:len(chain.word.chars) - len(tail.word.chars)]
-        nf = self.system.normal_form_word(Word(u))
-        return ModuleElement(n - 1, {(w, tail): c for w, c in nf.items()},
-                             self.field)
+        return self._element(n - 1, {tail: self.system._nf_chars(u)})
 
     def jmap(self, n: int, m: Word, chain: Chain) -> Optional[ModuleElement]:
         """j_n on the basis element m.(chain); None encodes 0.

@@ -411,8 +411,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory; try a smaller window", file=sys.stderr)
-        return 2
+        pass
+    # printed outside the handler, so the traceback no longer holds the
+    # failed command's frames and their memory is freed first
+    print("error: out of memory; try a smaller window", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -357,10 +357,10 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
             f"NF(b{k + 1}*a{k}^(p-1)) at (b{k}*a{k})^(p-1)*b{k}", "1",
             str(got), got == field.coerce(1)))
 
-        braid = Word.of([b, a]).power(p)
+        braid = _braid_word(ext, k)
         for name, src_word, expected in (
                 (f"d2(.a{k + 1}*b{k}^p)",
-                 Word.of([ext.a(k + 1)] + [b] * p), field.neg(sign_p)),
+                 _excluded_t2_word(ext, k), field.neg(sign_p)),
                 (f"d2(.b{k + 1}*a{k}^p)",
                  Word.of([ext.b(k + 1)] + [a] * p), minus_one)):
             chain = _t2_chain(cx, src_word, ChainError,

@@ -25,11 +25,13 @@ word.  A letter x acts on an irreducible word v by rewriting x.v at position
 left-hand side, and letting every rhs word act in turn on the rest of v.
 The action of each letter on each irreducible word is memoized on the
 system, so the memo holds at most |alphabet| x |irreducible words reached|
-entries.  For complete systems the result is strategy-independent; for
-incomplete ones it is still an irreducible reduct of the input, though not
-necessarily the one another strategy would reach.  One-step reduction
-(``reduce_once``) rewrites the order-greatest reducible monomial at its
-leftmost redex, longest left-hand side first.
+entries; every normal form is one loop over it (``_left_multiply``) that
+derives a missing entry on an explicit stack.  For complete systems the
+result is strategy-independent; for incomplete ones it is still an
+irreducible reduct of the input, though not necessarily the one another
+strategy would reach.  One-step reduction (``reduce_once``) rewrites the
+order-greatest reducible monomial at its leftmost redex, longest left-hand
+side first.
 """
 
 from __future__ import annotations
@@ -245,79 +247,70 @@ class RewriteSystem:
 
     # -- normal forms ----------------------------------------------------------
 
-    def _letters_steps(self, letters: str, terms: dict) -> _ActionSteps:
-        """letters . terms for a combination of irreducible words: the letters
-        act right to left through the memo, asking for missing entries."""
-        memo = self._action
-        p = self.field.characteristic
-        for x in reversed(letters):
-            out: dict[str, object] = {}
-            for v, c in terms.items():
-                key = x + v
-                image = memo.get(key)
-                if image is None:
-                    image = yield key
-                _add_scaled(out, image, c, p)
-            terms = out
-        return terms
-
     def _head_steps(self, key: str) -> _ActionSteps:
         """NF(key) for key = x + v with v irreducible: any redex starts at
-        position 0; each rhs word then acts on the rest of v."""
+        position 0; the letters of each rhs word then act, right to left
+        through the memo, on the rest of v, asking for missing entries."""
         hit = self._rule_at(key, 0)
         if hit is None:
             return {key: self.field.coerce(1)}
         ln, idx = hit
         rest = key[ln:]
+        memo = self._action
         p = self.field.characteristic
         out: dict[str, object] = {}
         for t, c in self.rules[idx].rhs.items():
-            image = yield from self._letters_steps(t.chars, {rest: c})
-            _add_scaled(out, image, 1, p)
+            terms = {rest: c}
+            for x in reversed(t.chars):
+                acted: dict[str, object] = {}
+                for v, cv in terms.items():
+                    image = memo.get(x + v)
+                    if image is None:
+                        image = yield x + v
+                    _add_scaled(acted, image, cv, p)
+                terms = acted
+            _add_scaled(out, terms, 1, p)
         return out
 
-    def _act_from_memo(self, x: str, terms: dict) -> Optional[dict]:
-        """x . terms read from the memo alone, or None at a missing entry."""
+    def _derive(self, key: str) -> dict:
+        """NF(key) for key = x + v with v irreducible, stored in the memo
+        with every missing entry it needs.
+
+        Each missing entry only needs strictly smaller words, so they are
+        computed on an explicit stack of :meth:`_head_steps` generators and
+        deep derivations use no Python recursion.
+        """
         memo = self._action
-        p = self.field.characteristic
-        out: dict[str, object] = {}
-        for v, c in terms.items():
-            image = memo.get(x + v)
-            if image is None:
-                return None
-            _add_scaled(out, image, c, p)
-        return out
+        stack = [(key, self._head_steps(key))]
+        value = None
+        while True:
+            need, steps = stack[-1]
+            try:
+                want = steps.send(value)
+            except StopIteration as done:
+                value = memo[need] = done.value
+                stack.pop()
+                if not stack:
+                    return value
+                continue
+            value = None
+            stack.append((want, self._head_steps(want)))
 
     def _left_multiply(self, letters: str, terms: dict) -> dict:
         """NF(letters . terms) for a char-string -> coefficient map over
-        irreducible words.
-
-        A single letter whose every entry is in the memo acts straight from
-        it.  Otherwise missing letter actions are computed on an explicit
-        stack (each one only needs strictly smaller words), so deep
-        derivations use no Python recursion.
-        """
-        if len(letters) == 1:
-            acted = self._act_from_memo(letters, terms)
-            if acted is not None:
-                return acted
+        irreducible words: the letters act right to left through the memo,
+        and :meth:`_derive` computes each missing entry."""
         memo = self._action
-        stack: list[tuple[Optional[str], _ActionSteps]] = [
-            (None, self._letters_steps(letters, terms))]
-        value = None
-        while True:
-            key, steps = stack[-1]
-            try:
-                need = steps.send(value)
-            except StopIteration as done:
-                value = done.value
-                stack.pop()
-                if key is None:
-                    return value
-                memo[key] = value
-                continue
-            value = None
-            stack.append((need, self._head_steps(need)))
+        p = self.field.characteristic
+        for x in reversed(letters):
+            out: dict[str, object] = {}
+            for v, c in terms.items():
+                image = memo.get(x + v)
+                if image is None:
+                    image = self._derive(x + v)
+                _add_scaled(out, image, c, p)
+            terms = out
+        return terms
 
     def _nf_chars(self, chars: str) -> dict[str, object]:
         """Normal form of a single word as a char-string -> coefficient map."""

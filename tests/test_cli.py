@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,6 +300,33 @@ class TestInputValidation:
         assert err.startswith("error: out of memory")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_out_of_memory_line_written_after_the_command_is_freed(
+            self, monkeypatch):
+        # near the memory limit the line itself needs memory, so the failed
+        # command's frames, and what they hold, must be gone by then
+        class Held:
+            pass
+
+        refs = []
+
+        def exhausted(args):
+            held = Held()
+            refs.append(weakref.ref(held))
+            raise MemoryError
+
+        freed = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                freed.append(refs[0]() is None)
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "cmd_nf", exhausted)
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        assert main(["nf", "--p", "2", "--m", "1", "a0"]) == 2
+        assert sys.stderr.getvalue().startswith("error: out of memory")
+        assert freed and all(freed)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,41 +202,85 @@ class TestNormalForm:
 
     @pytest.mark.parametrize("p,m,bound", [(2, 2, 6), (3, 1, 8)])
     def test_letter_action_cold_warm_and_refilled(self, p, m, bound):
-        """x . f for one letter x equals NF(x f) whether the memo is cold,
-        warm, or warm but missing one entry that x . f needs; the miss path
-        refills that entry."""
-        system = small_groebner_basis(Window(p, 0, m))
+        """letters . f equals NF(letters f) whether the memo is cold, warm,
+        or warm but missing one entry that letters . f needs; the miss path
+        refills that entry.  Single letters start from an empty memo; each
+        three-letter word starts once its rightmost letter is in the memo,
+        so some of them miss at the middle letter."""
         ref = small_groebner_basis(Window(p, 0, m))
-        field = system.field
+        field = ref.field
         by_degree = {}
-        for w in system.irreducible_words(bound):
+        for w in ref.irreducible_words(bound):
             by_degree.setdefault(w.degree, []).append(w)
         # one homogeneous combination of irreducible words per degree, with
         # coefficients 1, 2, ..., p - 1, 1, ...
         combos = [{w.chars: field.coerce(1 + i % (p - 1))
                    for i, w in enumerate(ws)} for ws in by_degree.values()]
-        cases = [(g.char, terms) for g in system.alphabet for terms in combos]
+        chars = [g.char for g in ref.alphabet]
+        singles = [(x, terms) for x in chars for terms in combos]
+        triples = [(x + y + z, terms) for x in chars for y in chars
+                   for z in chars for terms in combos]
 
-        def expected(x, terms):
+        def expected(letters, terms):
             f = Polynomial({Word(v): c for v, c in terms.items()}, field)
-            nf = ref.normal_form(Polynomial.monomial(Word(x), field) * f)
+            nf = ref.normal_form(Polynomial.monomial(Word(letters), field) * f)
             return {w.chars: c for w, c in nf.items()}
 
-        assert not system._action
-        cold = [system._left_multiply(x, terms) for x, terms in cases]
-        assert cold == [expected(x, terms) for x, terms in cases]
-        filled = len(system._action)
-        warm = [system._left_multiply(x, terms) for x, terms in cases]
-        assert warm == cold
-        assert len(system._action) == filled
-        refilled = 0
-        for (x, terms), want in zip(cases, cold):
-            key = x + next(iter(terms))
-            value = system._action.pop(key)
-            assert system._left_multiply(x, terms) == want
-            assert system._action[key] == value
-            refilled += 1
-        assert refilled == len(cases)
+        for cases in (singles, triples):
+            system = small_groebner_basis(Window(p, 0, m))
+            cold, middle_misses = [], 0
+            for letters, terms in cases:
+                if len(letters) > 1:
+                    system._left_multiply(letters[-1], terms)
+                    middle_misses += any(
+                        letters[1] + v not in system._action
+                        for v in expected(letters[-1], terms))
+                cold.append(system._left_multiply(letters, terms))
+            assert cold == [expected(x, terms) for x, terms in cases]
+            assert (middle_misses > 0) == (cases is triples)
+            filled = len(system._action)
+            warm = [system._left_multiply(x, terms) for x, terms in cases]
+            assert warm == cold
+            assert len(system._action) == filled
+            for (letters, terms), want in zip(cases, cold):
+                key = letters[-1] + next(iter(terms))
+                value = system._action.pop(key)
+                assert system._left_multiply(letters, terms) == want
+                assert system._action[key] == value
+
+    def test_derivation_uses_no_recursion(self):
+        """The letter action derives missing entries on an explicit stack:
+        x . y^n under the commutation rule x y -> y x needs n nested
+        entries, yet runs under a recursion limit a few frames above the
+        caller's depth."""
+        system = _window_system("b0*a0 - a0*b0")
+        x, y = system.rules[0].lhs.chars
+        n, margin = 60, 20
+        live = deepest = 0
+        head_steps = system._head_steps
+
+        def counted(key):
+            nonlocal live, deepest
+            live += 1
+            deepest = max(deepest, live)
+            try:
+                return (yield from head_steps(key))
+            finally:
+                live -= 1
+
+        system._head_steps = counted
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + margin)
+        try:
+            nf = system._nf_chars(x + y * n)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert nf == {y * n + x: 1}
+        # one generator each for x y^n, x y^(n-1), ..., x
+        assert deepest == n + 1 > margin
 
 
 class TestOverlaps:
