@@ -4,12 +4,16 @@ Given a reduced complete rewriting system presenting an augmented graded
 algebra (every generator maps to 0 under the augmentation), this module
 builds:
 
-* the chain sets T_{-1} = {empty word}, T_0 = generators, T_1 = rule leading
-  monomials, T_2 = tips of minimal overlaps between T_1 elements.  An
-  n-chain is a word u.c ending in an (n-1)-chain c, its tail.  A word has at
-  most one suffix in T_n: two would be nested, so one would be a factor of
-  the other, yet T_0 is letters, T_1 is an antichain (the basis is reduced)
-  and T_2 keeps only minimal tips;
+* the chain sets T_{-1} = {empty word}, T_0 = generators, and T_1, T_2 by
+  one recursion (Anick's, grown to the left).  An n-chain is a word u.c
+  ending in an (n-1)-chain c = h.c', its tail, such that a left-hand side
+  starts u.h at position 0 and ends inside h, and no left-hand side starts
+  at positions 1..|u|-1 of u.h.  So T_1 is the rule leading monomials, and
+  T_2 the words u.l, l in T_1, where a left-hand side at position 0
+  overlaps l and no other one lies in u.l without its last letter.  A word
+  has at most one suffix in T_n: two would be nested, yet T_0 is letters,
+  T_1 is an antichain (the basis is reduced), and a 2-chain ending another
+  one would start a left-hand side where the recursion rules one out;
 * the free modules P_n on those chains, with K-basis m.t (m an irreducible
   word, t a chain), ordered through m.t -> mt;
 * the maps delta_n / j_n, both read off that one suffix, and the mutually
@@ -201,7 +205,9 @@ class GradedMatrix:
 def sparse_rank(rows: Iterable[Iterable[tuple[int, object]]],
                 field: FieldSpec) -> int:
     """Rank of the matrix whose rows are (column, coefficient) pairs, by
-    exact elimination over the field: residues mod p, or Fractions.
+    exact elimination over the field: residues mod p, or Fractions.  Every
+    coefficient must already be a nonzero element of the field, as the
+    entries of :meth:`AnickComplex.matrix` are.
 
     Each row is reduced at its largest column against the pivot row of
     that column until it vanishes or reaches a column with no pivot yet,
@@ -210,14 +216,9 @@ def sparse_rank(rows: Iterable[Iterable[tuple[int, object]]],
     Anick matrices this takes far fewer steps than the smallest column.
     """
     p = field.characteristic
-    coerce = field.coerce
     pivots: dict[int, dict[int, object]] = {}
     for row in rows:
-        vec = {}
-        for j, c in row:
-            c = coerce(c)
-            if c:
-                vec[j] = c
+        vec = dict(row)
         while vec:
             lead = max(vec)
             pivot = pivots.get(lead)
@@ -295,16 +296,10 @@ class AnickComplex:
                             for i, g in enumerate(self.order.ranking)}
         self.field = system.field
         self.e_chain = Chain(-1, EMPTY_WORD)
-        self.t0 = tuple(Chain(0, Word(g.char), self.e_chain)
-                        for g in system.alphabet)
-        by_char = {c.word.chars: c for c in self.t0}
-        self._by_chars: dict[int, dict[str, Chain]] = {
-            -1: {"": self.e_chain}, 0: by_char}
-        self.t1 = tuple(Chain(1, r.lhs, by_char[r.lhs.chars[-1]])
-                        for r in system.rules)
-        self._by_chars[1] = {c.word.chars: c for c in self.t1}
-        self.t2 = self._build_t2()
-        self._by_chars[2] = {c.word.chars: c for c in self.t2}
+        self._by_chars: dict[int, dict[str, Chain]] = {-1: {"": self.e_chain}}
+        for n in range(3):
+            self._by_chars[n] = self._build_level(n)
+        self.t0, self.t1, self.t2 = (self.chains(n) for n in range(3))
         # (n, chain, dmap) -> m chars -> m.d_n(t) or m.dmap(t), grouped;
         # the key "" holds the image of .t itself
         self._images: dict[tuple, dict[str, _Grouped]] = {}
@@ -317,21 +312,34 @@ class AnickComplex:
 
     # -- chain sets ---------------------------------------------------------
 
-    def _build_t2(self) -> tuple[Chain, ...]:
-        rules = self.system.rules
-        # no lhs contains another: every tip is an overlap ending in the
-        # second rule's lhs
-        tips = {cp.tip.chars: Chain(2, cp.tip,
-                                    self.chain(1, rules[cp.rule2].lhs))
-                for cp in self.system.critical_pairs()}
-        # a tip is minimal when no proper factor of it is another tip
-        lengths = {len(chars) for chars in tips}
-        minimal = [c for chars, c in tips.items()
-                   if not any(chars[pos:pos + ln] in tips
-                              for ln in lengths if ln < len(chars)
-                              for pos in range(len(chars) - ln + 1))]
-        minimal.sort(key=lambda c: self.order.key(c.word))
-        return tuple(minimal)
+    def _build_level(self, n: int) -> dict[str, Chain]:
+        """The n-chains, by word, from the (n-1)-chains by the recursion of
+        the module docstring; the 0-chains are the letters.
+
+        A lhs that starts u.h at position 0 and ends inside h is u.s with s
+        a nonempty prefix of h, so the candidates u are read off a map from
+        every nonempty lhs suffix s to its prefix u (u is empty only for a
+        one-letter lhs, itself a 1-chain).  Levels n >= 1 are sorted by key.
+        """
+        system = self.system
+        if n == 0:
+            return {g.char: Chain(0, Word(g.char), self.e_chain)
+                    for g in system.alphabet}
+        prefixes: dict[str, list[str]] = {}
+        for lhs in system._rule_index:
+            for k in range(len(lhs)):
+                prefixes.setdefault(lhs[k:], []).append(lhs[:k])
+        found = []
+        for c in self._by_chars[n - 1].values():
+            h = c.word.chars[:len(c.word.chars) - len(c.tail.word.chars)]
+            for k in range(1, len(h) + 1):
+                for u in prefixes.get(h[:k], ()):
+                    uh = u + h
+                    if all(system._rule_at(uh, pos) is None
+                           for pos in range(1, len(u))):
+                        found.append(Chain(n, Word(u + c.word.chars), c))
+        found.sort(key=lambda t: self.order.key(t.word))
+        return {t.word.chars: t for t in found}
 
     def _level(self, level: int) -> dict[str, Chain]:
         """The chains of one level, by word."""

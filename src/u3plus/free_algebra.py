@@ -319,9 +319,6 @@ class FieldSpec:
             return value
         return Fraction(value)
 
-    def add(self, x: Coefficient, y: Coefficient) -> Coefficient:
-        return (x + y) % self.characteristic if self.characteristic else x + y
-
     def mul(self, x: Coefficient, y: Coefficient) -> Coefficient:
         return (x * y) % self.characteristic if self.characteristic else x * y
 

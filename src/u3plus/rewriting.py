@@ -66,10 +66,6 @@ class RewriteRule:
     lhs: Word
     rhs: Polynomial
 
-    def as_polynomial(self) -> Polynomial:
-        """The defining polynomial lhs - rhs."""
-        return Polynomial.monomial(self.lhs, self.rhs.field) - self.rhs
-
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
 
@@ -214,15 +210,6 @@ class RewriteSystem:
                                    reverse=True)
         # x + v -> NF(x v) for a letter x and an irreducible word v
         self._action: dict[str, dict[str, object]] = {}
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_polynomials(cls, polys: Iterable[Polynomial], order: OrderSpec,
-                         field: FieldSpec,
-                         alphabet: Sequence[Generator]) -> "RewriteSystem":
-        return cls([rule_from_poly(p, order) for p in polys], order, field,
-                   alphabet)
 
     # -- redex search --------------------------------------------------------
 

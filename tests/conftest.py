@@ -1,7 +1,7 @@
 import pytest
 
-from u3plus import AnickComplex, MinimalResolution, Window, \
-    small_groebner_basis
+from u3plus import AnickComplex, MinimalResolution, Polynomial, \
+    RewriteSystem, Window, rule_from_poly, small_groebner_basis
 
 _SYSTEMS = {}
 _COMPLEXES = {}
@@ -33,10 +33,21 @@ def resolution_for(p, m, deg_bound):
     return _RESOLUTIONS[key]
 
 
+def rule_polynomial(rule):
+    """The defining polynomial lhs - rhs of a rewriting rule."""
+    return Polynomial.monomial(rule.lhs, rule.rhs.field) - rule.rhs
+
+
+def system_from_polynomials(polys, order, field, alphabet):
+    """The system of the polynomials, each oriented into its monic rule."""
+    return RewriteSystem([rule_from_poly(f, order) for f in polys], order,
+                         field, alphabet)
+
+
 def drop_window_rule(monkeypatch, win):
     """Make ``minimal.small_groebner_basis(win)`` lose its first rule, so
     that the extended basis no longer restricts to the window basis."""
-    from u3plus import RewriteSystem, minimal
+    from u3plus import minimal
 
     build = minimal.small_groebner_basis
 

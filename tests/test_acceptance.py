@@ -23,7 +23,6 @@ from u3plus import (
     FieldSpec,
     KostantElement,
     QQ,
-    RewriteSystem,
     Word,
     divided_element,
     evaluate_poly,
@@ -34,7 +33,8 @@ from u3plus import (
     word,
 )
 from u3plus.kostant import DividedMonomial
-from conftest import complex_for, resolution_for, system_for
+from conftest import complex_for, resolution_for, rule_polynomial, \
+    system_for, system_from_polynomials
 
 CONFIGS = [(2, 1, 8), (2, 2, 64), (3, 1, 27), (3, 2, 729), (5, 1, 125)]
 
@@ -85,7 +85,7 @@ def test_c02_complete_and_reduced(p, m, _):
 def test_c03a_rules_vanish_in_algebra(p, m, _):
     system = system_for(p, m)
     for rule in system.rules:
-        assert evaluate_poly(rule.as_polynomial()).is_zero, rule
+        assert evaluate_poly(rule_polynomial(rule)).is_zero, rule
     print(f"ACCEPTANCE 3a rule polynomials vanish ({p},{m})  PASS")
 
 
@@ -460,9 +460,9 @@ def test_c10_dropping_any_rule_is_detected(p, m):
     bound = _enumeration_bound(p, m)
     via = []
     for skip in range(len(system.rules)):
-        polys = [r.as_polynomial() for i, r in enumerate(system.rules)
+        polys = [rule_polynomial(r) for i, r in enumerate(system.rules)
                  if i != skip]
-        pruned = RewriteSystem.from_polynomials(
+        pruned = system_from_polynomials(
             polys, system.order, system.field, system.alphabet)
         if not pruned.is_complete().complete:
             via.append("completeness")
@@ -487,7 +487,7 @@ def test_c10_sign_flips_detected_by_oracle():
     field = system.field
     flips = 0
     for rule in system.rules:
-        poly = rule.as_polynomial()
+        poly = rule_polynomial(rule)
         for target in set(poly.terms):
             mutated = {w: (field.neg(c) if w == target else c)
                        for w, c in poly.items()}

@@ -9,6 +9,8 @@ from u3plus import (
     FieldSpec,
     ModuleElement,
     OrderSpec,
+    Polynomial,
+    RewriteRule,
     RewriteSystem,
     Window,
     Word,
@@ -29,7 +31,7 @@ from u3plus.anick import (
 )
 from u3plus.minimal import MinimalResolution
 
-from conftest import complex_for, system_for
+from conftest import complex_for, system_for, system_from_polynomials
 
 
 def a(k, p):
@@ -44,6 +46,47 @@ def W(p, *letters):
     """Word from (kind, index) pairs at prime p."""
     return Word.of([a(k, p) if kind == "a" else b(k, p)
                     for kind, k in letters])
+
+
+def chain_pairs(cx):
+    """(word, tail word) of every 1-chain and of every 2-chain, in order."""
+    return tuple([(c.word, c.tail.word) for c in cx.chains(level)]
+                 for level in (1, 2))
+
+
+def reference_chains(system):
+    """T_1 and T_2 as :func:`chain_pairs` lists them, read off the rules
+    and their critical pairs: T_1 is the lhs with their last letters as
+    tails, T_2 the critical tips with no other tip as a proper factor, with
+    the second rule's lhs as tails; each in key order."""
+    def in_order(pairs):
+        return sorted(pairs, key=lambda pair: system.order.key(pair[0]))
+
+    rules = system.rules
+    tips = {cp.tip.chars: (cp.tip, rules[cp.rule2].lhs)
+            for cp in system.critical_pairs()}
+    return (in_order((r.lhs, Word(r.lhs.chars[-1])) for r in rules),
+            in_order(pair for chars, pair in tips.items()
+                     if not any(other != chars and other in chars
+                                for other in tips)))
+
+
+@st.composite
+def monomial_systems(draw):
+    """Reduced systems whose rules all have right-hand side 0: 2-4 letters
+    and 1-5 tips of length 2-5, none a factor of another."""
+    alphabet = small_window_alphabet(2, 0, 2)[:draw(st.integers(2, 4))]
+    letters = st.sampled_from([g.char for g in alphabet])
+    drawn = draw(st.lists(st.text(letters, min_size=2, max_size=5),
+                          min_size=1, max_size=5))
+    tips: list[str] = []
+    for w in sorted(set(drawn), key=len):
+        if not any(t in w for t in tips):
+            tips.append(w)
+    field = FieldSpec(2)
+    return RewriteSystem(
+        [RewriteRule(Word(t), Polynomial.zero(field)) for t in tips],
+        OrderSpec.deglex(alphabet), field, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +283,23 @@ class TestChainSets:
         assert cx.chain(1, W(3, ("a", 1), ("b", 1))) is None
 
     def test_t2_tips_are_minimal_critical_tips(self):
-        for p, m in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+        for p, m in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                     (5, 1), (5, 2), (5, 3), (7, 2)]:
             cx = complex_for(p, m)
-            rules = cx.system.rules
-            tips = {cp.tip.chars: (cp.tip, rules[cp.rule2].lhs)
-                    for cp in cx.system.critical_pairs()}
-            minimal = [pair for chars, pair in tips.items()
-                       if not any(other != chars and other in chars
-                                  for other in tips)]
-            minimal.sort(key=lambda pair: cx.order.key(pair[0]))
-            assert [(c.word, c.tail.word) for c in cx.t2] == minimal, (p, m)
+            assert chain_pairs(cx) == reference_chains(cx.system), (p, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(system=monomial_systems())
+    def test_chains_of_monomial_systems(self, system):
+        assert chain_pairs(AnickComplex(system)) == reference_chains(system)
+
+    def test_chains_need_no_critical_pairs(self, monkeypatch):
+        def refuse(system):
+            raise AssertionError("critical_pairs called")
+
+        monkeypatch.setattr(RewriteSystem, "critical_pairs", refuse)
+        cx = AnickComplex(small_groebner_basis(Window(3, 0, 2)))
+        assert cx.t2
 
     def test_boundary_tips_are_forced(self, cx31):
         """b a^p is a genuine chain: without it the complex is not exact in
@@ -527,7 +577,7 @@ class TestComplexAndExactness:
                     if m.is_empty]
             if level == n and not corrupted and rows and mat.col_labels:
                 row = dict(mat.entries[rows[0]])
-                row[0] = cx.field.add(row.get(0, 0), 1)
+                row[0] = cx.field.coerce(row.get(0, 0) + 1)
                 mat.entries[rows[0]] = sorted(
                     (j, c) for j, c in row.items() if c)
                 m, t = mat.col_labels[0]
@@ -559,27 +609,31 @@ class TestComplexAndExactness:
         order = OrderSpec.deglex(alphabet)
         polys = [parse_poly("a0*a0", FieldSpec(2)),
                  parse_poly("a0*a0*a0 - b0", FieldSpec(2))]
-        system = RewriteSystem.from_polynomials(polys, order, FieldSpec(2),
-                                                alphabet)
+        system = system_from_polynomials(polys, order, FieldSpec(2),
+                                         alphabet)
         with pytest.raises(ChainError, match="reduced basis"):
             AnickComplex(system)
 
 
-def sparse_rows(dense):
-    """Dense rows as (column, coefficient) pairs of the nonzero entries."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in dense]
+def sparse_rows(dense, field):
+    """Dense rows as (column, coefficient) pairs of the entries that are
+    nonzero in the field, reduced into it."""
+    return [[(j, c) for j, x in enumerate(row) if (c := field.coerce(x))]
+            for row in dense]
 
 
 class TestGradedMatrix:
     def test_rank_mod_p(self):
-        assert sparse_rank(sparse_rows([[1, 2], [2, 4]]), FieldSpec(5)) == 1
-        assert sparse_rank(sparse_rows([[1, 2], [2, 4]]), FieldSpec(3)) == 1
-        assert sparse_rank(sparse_rows([[1, 1], [1, 2]]), FieldSpec(2)) == 2
+        for dense, p, rank in (([[1, 2], [2, 4]], 5, 1),
+                               ([[1, 2], [2, 4]], 3, 1),
+                               ([[1, 1], [1, 2]], 2, 2)):
+            field = FieldSpec(p)
+            assert sparse_rank(sparse_rows(dense, field), field) == rank
         assert sparse_rank([], FieldSpec(3)) == 0
 
     def test_rank_char_zero(self):
         mat = GradedMatrix(Degree(0, 0), [None] * 2, [None] * 2,
-                           sparse_rows([[1, 2], [2, 4]]))
+                           sparse_rows([[1, 2], [2, 4]], FieldSpec(0)))
         assert mat.rank(FieldSpec(0)) == 1
 
     def test_json_shape(self, cx21):
@@ -603,7 +657,7 @@ class TestGradedMatrix:
             assert sparse_rank([], field) == 0
             assert sparse_rank([[], []], field) == 0
             # 5 vanishes in F_5 only
-            assert sparse_rank(sparse_rows([[0, 0, 0], [0, 5, 0]]),
+            assert sparse_rank(sparse_rows([[0, 0, 0], [0, 5, 0]], field),
                                field) == (0 if field.characteristic else 1)
 
 
@@ -623,7 +677,7 @@ def dense_rank(rows, field):
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [field.add(x, field.neg(field.mul(f, y)))
+                rows[i] = [field.coerce(x - f * y)
                            for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
@@ -649,9 +703,8 @@ def test_sparse_rank_matches_dense_reference(dense, p, copies):
         dense = [[int(x) for x in row] for row in dense]
     # repeated rows and multiples of rows must not raise the rank
     dense = dense + [[3 * x for x in row] for row in dense[:copies]]
-    coerced = [[field.coerce(x) for x in row] for row in dense]
-    assert sparse_rank(sparse_rows(coerced), field) == dense_rank(dense,
-                                                                  field)
+    assert sparse_rank(sparse_rows(dense, field), field) == dense_rank(
+        dense, field)
 
 
 @pytest.mark.parametrize("p,bound", [(2, 8), (3, 12)])

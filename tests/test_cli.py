@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from u3plus import AnickComplex, FieldSpec, GradedMatrix, RewriteSystem, \
-    Window, parse_poly
+from u3plus import AnickComplex, FieldSpec, GradedMatrix, Window, \
+    parse_poly
 from u3plus import cli
 from u3plus.cli import main
 
-from conftest import complex_for, drop_window_rule, system_for
+from conftest import complex_for, drop_window_rule, system_for, \
+    system_from_polynomials
 
 
 def run(capsys, *argv):
@@ -172,7 +173,7 @@ class TestGb:
             rhs = parse_poly(entry["rhs"], field) if entry["rhs"] != "0" \
                 else None
             polys.append(lhs - rhs if rhs is not None else lhs)
-        rebuilt = RewriteSystem.from_polynomials(
+        rebuilt = system_from_polynomials(
             polys, reference.order, field, reference.alphabet)
         cert = rebuilt.is_complete()
         assert cert.to_json() == reference.is_complete().to_json()

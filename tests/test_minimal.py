@@ -27,6 +27,14 @@ def W2(*letters):
                     for kind, k in letters])
 
 
+def drop_t2_chain(monkeypatch, w):
+    """Make every new AnickComplex build its 2-chains without w."""
+    build = AnickComplex._build_level
+    monkeypatch.setattr(AnickComplex, "_build_level", lambda cx, n: {
+        chars: c for chars, c in build(cx, n).items()
+        if n != 2 or chars != w.chars})
+
+
 class TestRadicalMembership:
     def test_positive_weight_coefficient(self, cx21):
         x = ModuleElement.basis(word(gen_a(0, 2)), cx21.e_chain, cx21.field)
@@ -118,10 +126,7 @@ class TestD2Prime:
     def test_missing_substitute_chain_is_typed(self, monkeypatch):
         # a T_2 without a substitute source a_{k+1} b_k^p is reported as a
         # window error, not as a raw KeyError
-        build = AnickComplex._build_t2
-        dropped = W2(("a", 1), ("b", 0), ("b", 0)).chars
-        monkeypatch.setattr(AnickComplex, "_build_t2", lambda cx: tuple(
-            c for c in build(cx) if c.word.chars != dropped))
+        drop_t2_chain(monkeypatch, W2(("a", 1), ("b", 0), ("b", 0)))
         with pytest.raises(WindowTooSmallError, match="substitute source"):
             MinimalResolution(Window(2, 0, 1), 8)
 
@@ -181,10 +186,7 @@ class TestCoefficientChecks:
         assert got.actual == str(field.coerce(1))
 
     def test_missing_lemma_chain_is_typed(self, monkeypatch):
-        build = AnickComplex._build_t2
-        dropped = W2(("b", 1), ("a", 0), ("a", 0)).chars
-        monkeypatch.setattr(AnickComplex, "_build_t2", lambda cx: tuple(
-            c for c in build(cx) if c.word.chars != dropped))
+        drop_t2_chain(monkeypatch, W2(("b", 1), ("a", 0), ("a", 0)))
         with pytest.raises(ChainError, match="is not a 2-chain"):
             coefficient_lemma_checks(Window(2, 0, 1))
 

@@ -36,7 +36,7 @@ from u3plus.rewriting import (
     RewriteSystemError,
 )
 
-from conftest import system_for
+from conftest import rule_polynomial, system_for, system_from_polynomials
 
 F2 = FieldSpec(2)
 A0, B0 = gen_a(0, 2), gen_b(0, 2)
@@ -49,7 +49,7 @@ def _irreducible(system, w):
 
 def _window_system(*polys):
     alphabet = small_window_alphabet(2, 0, 1)
-    return RewriteSystem.from_polynomials(
+    return system_from_polynomials(
         [parse_poly(f, F2) for f in polys], OrderSpec.deglex(alphabet), F2,
         alphabet)
 
@@ -150,7 +150,7 @@ class TestSystemConstruction:
         # the order knows a1, the system's alphabet does not
         order = OrderSpec.deglex(small_window_alphabet(2, 0, 2))
         with pytest.raises(RewriteSystemError, match=re.escape(message)):
-            RewriteSystem.from_polynomials(
+            system_from_polynomials(
                 [parse_poly(poly, F2)], order, F2,
                 small_window_alphabet(2, 0, 1))
 
@@ -313,7 +313,7 @@ class TestCriticalPairs:
 
     def test_single_square_rule(self):
         order = OrderSpec.deglex(small_window_alphabet(2, 0, 1))
-        system = RewriteSystem.from_polynomials(
+        system = system_from_polynomials(
             [parse_poly("a0*a0", F2)], order, F2,
             small_window_alphabet(2, 0, 1))
         tips = {cp.tip for cp in system.critical_pairs()}
@@ -471,7 +471,7 @@ class TestRestriction:
         order = OrderSpec.deglex(alphabet)
         polys = [Polynomial.monomial(word(A0, B0), F2)
                  - Polynomial.monomial(word(eab1), F2)]
-        system = RewriteSystem.from_polynomials(polys, order, F2, alphabet)
+        system = system_from_polynomials(polys, order, F2, alphabet)
         with pytest.raises(RestrictionError):
             system.restrict_to_subalphabet([A0, B0])
 
@@ -571,7 +571,7 @@ def test_ideal_membership(g22, u, v, data):
     rule = data.draw(st.sampled_from(g22.rules))
     um = Polynomial.monomial(u, F2)
     vm = Polynomial.monomial(v, F2)
-    assert g22.normal_form(um * rule.as_polynomial() * vm).is_zero
+    assert g22.normal_form(um * rule_polynomial(rule) * vm).is_zero
 
 
 @settings(max_examples=40, deadline=None)
@@ -599,9 +599,9 @@ def test_dropping_rules_detected(g22):
     """
     top_braid = word(B1, A1, B1, A1)
     for skip in range(len(g22.rules)):
-        polys = [r.as_polynomial() for i, r in enumerate(g22.rules)
+        polys = [rule_polynomial(r) for i, r in enumerate(g22.rules)
                  if i != skip]
-        pruned = RewriteSystem.from_polynomials(
+        pruned = system_from_polynomials(
             polys, g22.order, g22.field, g22.alphabet)
         if g22.rules[skip].lhs == top_braid:
             assert pruned.is_complete().complete
