@@ -46,17 +46,17 @@ the splittings and the graded matrices all read the same images; a letter
 acts from the system's letter-action memo, computing only missing entries.
 
 A graded basis is sorted on the words mt with each letter translated to
-its rank, and the bases of the degree being certified are kept, so the
-matrices meeting at one basis (the columns of d_n, the rows of d_{n+1})
-share one list.  Graded matrices are stored sparsely, row by row, and
-ranked by one exact elimination (:func:`sparse_rank`) over F_p or the
-rationals that pivots at the smallest source basis element of each row.
+its rank, made once per word and once per chain, and the bases of the
+degree being certified are kept, so the matrices meeting at one basis (the
+columns of d_n, the rows of d_{n+1}) share one list.  Graded matrices are
+stored sparsely, row by row, and ranked by one exact elimination
+(:func:`sparse_rank`) over F_p or the rationals that pivots at the
+smallest source basis element of each row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .free_algebra import (
@@ -224,7 +224,8 @@ def sparse_rank(rows: Iterable[Iterable[tuple[int, object]]],
             pivot = pivots.get(lead)
             if pivot is None:
                 inv = field.invert(vec[lead])
-                pivots[lead] = {j: field.mul(c, inv) for j, c in vec.items()}
+                pivots[lead] = ({j: c * inv % p for j, c in vec.items()} if p
+                                else {j: c * inv for j, c in vec.items()})
                 break
             _add_scaled(vec, pivot, field.neg(vec[lead]), p)
     return len(pivots)
@@ -304,7 +305,10 @@ class AnickComplex:
         # the key "" holds the image of .t itself
         self._images: dict[tuple, dict[str, _Grouped]] = {}
         self._words_bound = -1
-        self._words_by_degree: dict[Degree, list[Word]] = {}
+        # degree -> (rank string, word) for each irreducible word of it
+        self._words_by_degree: dict[Degree, list[tuple[str, Word]]] = {}
+        # chain set -> (alpha, beta) -> (rank string, chain) of its chains
+        self._chain_groups: dict[tuple, dict[tuple, list]] = {}
         # the bases of one degree, by (level, chain set): the matrices that
         # meet at a basis share its list
         self._bases_degree: Optional[Degree] = None
@@ -369,9 +373,10 @@ class AnickComplex:
     def _ensure_words(self, norm_bound: int) -> None:
         if norm_bound <= self._words_bound:
             return
-        by_degree: dict[Degree, list[Word]] = {}
+        by_degree: dict[Degree, list[tuple[str, Word]]] = {}
         for w in self.system.irreducible_words(norm_bound):
-            by_degree.setdefault(w.degree, []).append(w)
+            by_degree.setdefault(w.degree, []).append(
+                (w.chars.translate(self._rank_table), w))
         self._words_by_degree = by_degree
         self._words_bound = norm_bound
 
@@ -396,20 +401,24 @@ class AnickComplex:
         if out is not None:
             return out
         self._ensure_words(degree.norm)
+        groups = self._chain_groups.get(chains)
+        if groups is None:
+            groups = self._chain_groups[chains] = {}
+            for t in chains:
+                groups.setdefault(tuple(t.degree), []).append(
+                    (t.word.chars.translate(self._rank_table), t))
         words = self._words_by_degree
-        table = self._rank_table
-        keyed: list[tuple[str, Word, Chain]] = []
-        for t in chains:
-            rest = degree - t.degree
-            if rest.alpha < 0 or rest.beta < 0:
-                continue
-            rt = t.word.chars.translate(table)
-            keyed.extend((m.chars.translate(table) + rt, m, t)
-                         for m in words.get(rest, ()))
+        alpha, beta = degree
         # every mt of one degree has the same weight, so pair_key compares
-        # the ranks of the letters of mt
-        keyed.sort(key=itemgetter(0), reverse=True)
-        out = self._bases[(level, chains)] = [(m, t) for _r, m, t in keyed]
+        # the ranks of the letters of mt, and those rank strings differ
+        keyed: dict[str, tuple[Word, Chain]] = {}
+        for (ta, tb), group in groups.items():
+            ranked = words.get((alpha - ta, beta - tb))
+            if ranked:
+                keyed.update({rm + rt: (m, t) for rt, t in group
+                              for rm, m in ranked})
+        out = self._bases[(level, chains)] = [
+            keyed[r] for r in sorted(keyed, reverse=True)]
         return out
 
     # -- the maps -------------------------------------------------------------
@@ -575,9 +584,10 @@ class AnickComplex:
         self._ensure_words(deg_bound)
         chain_degrees = {t.degree for level in (-1, 0, 1, 2)
                          for t in self.chains(level)}
-        return sorted({d for cd in chain_degrees
-                       for md in self._words_by_degree
-                       if (d := cd + md).norm <= deg_bound})
+        return [Degree(*d) for d in sorted(
+            {(ca + ma, cb + mb) for ca, cb in chain_degrees
+             for ma, mb in self._words_by_degree
+             if ca + ma + cb + mb <= deg_bound})]
 
     def exactness_check(self, deg_bound: int) -> list[DegreeReport]:
         """Rank-nullity certificates per degree: the complex is exact at P_0

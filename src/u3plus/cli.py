@@ -26,6 +26,7 @@ from typing import Optional
 from .free_algebra import (
     FreeAlgebraError,
     QQ,
+    Word,
     format_poly,
     is_prime,
     parse_poly,
@@ -100,10 +101,24 @@ def _emit(payload: dict, text: str, args) -> None:
 # A matrix of a report sits at depth 2 (a dict in a top-level list): its keys
 # are indented by 6 spaces, its cells and labels by 8, their items by 10.
 # Each cell or label carries the separator before it; the first drops its
-# comma.
+# comma.  A cell is a row head, a column and a coefficient tail; a label is
+# a word head and a chain tail.
 _P1, _P2, _P3 = " " * 6, " " * 8, " " * 10
-_CELL = f",\n{_P2}[\n{_P3}%d,\n{_P3}%d,\n{_P3}%s\n{_P2}]"
-_LABEL = f",\n{_P2}[\n{_P3}%s,\n{_P3}%s\n{_P2}]"
+_ROW = f",\n{_P2}[\n{_P3}%d,\n{_P3}"
+_COEFF = f",\n{_P3}%s\n{_P2}]"
+_WORD = f",\n{_P2}[\n{_P3}%s,\n{_P3}"
+_CHAIN = f"%s\n{_P2}]"
+
+
+class _Texts(dict):
+    """Text pieces by key, each made by ``make(key)`` on first use."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
 
 
 def _indented(value, pad: str) -> str:
@@ -114,23 +129,26 @@ def _indented(value, pad: str) -> str:
     return text.replace("\n", "\n" + pad)
 
 
-def _matrix_text(mat: GradedMatrix, lead: str) -> str:
+def _matrix_text(mat: GradedMatrix, lead: str, texts: tuple) -> str:
     """lead, then the indented text of ``mat.to_json()`` as an item of a
-    top-level list, built with one join."""
-    quote = encode_basestring_ascii
+    top-level list, joined from the word, chain and coefficient texts."""
+    words, chains, coeffs = texts
+    cells = []
+    for i, row in enumerate(mat.entries):
+        if row:
+            head = _ROW % i
+            cells += [f"{head}{j}{coeffs[x]}" for j, x in row]
     parts = [lead, "{"]
     sep = "\n"
-    for key, value in sorted(mat.to_json().items()):
-        parts.append(f"{sep}{_P1}{quote(key)}: ")
+    for key, items in (
+            ("cols", [words[m.chars] + chains[t] for m, t in mat.col_labels]),
+            ("degree", None), ("entries", cells),
+            ("rows", [words[m.chars] + chains[t] for m, t in mat.row_labels])):
+        parts.append(f'{sep}{_P1}"{key}": ')
         sep = ",\n"
-        if key == "entries":
-            items = [_CELL % (i, j, quote(c)) for i, j, c in value]
-        elif key in ("rows", "cols"):
-            items = [_LABEL % (quote(m), quote(t)) for m, t in value]
-        else:
-            parts.append(_indented(value, _P1))
-            continue
-        if items:
+        if items is None:
+            parts.append(_indented(list(mat.degree), _P1))
+        elif items:
             items[0] = items[0][1:]
             parts += ["[", *items, f"\n{_P1}]"]
         else:
@@ -144,23 +162,27 @@ def _dump(payload: dict, fh) -> None:
     newline, one top-level value, and one item of a top-level list, at a
     time.  The payload's keys are strings.
 
-    A GradedMatrix item is turned into ``to_json`` form as it is reached and
-    its cells and labels are filled into fixed templates.  Every other value
-    goes through ``json.dumps``, which raises TypeError for a matrix found
-    anywhere else.
+    A GradedMatrix item is written as it is reached, from its labels and
+    entries in the form of ``to_json``; each word, chain and coefficient is
+    quoted once per call.  Every other value goes through ``json.dumps``,
+    which raises TypeError for a matrix found anywhere else.
     """
     if not payload:
         fh.write("{}\n")
         return
+    quote = encode_basestring_ascii
+    texts = (_Texts(lambda chars: _WORD % quote(str(Word(chars)))),
+             _Texts(lambda t: _CHAIN % quote(str(t.word))),
+             _Texts(lambda x: _COEFF % quote(str(x))))
     lead = "{\n  "
     for key in sorted(payload):
         value = payload[key]
-        fh.write(f"{lead}{encode_basestring_ascii(key)}: ")
+        fh.write(f"{lead}{quote(key)}: ")
         lead = ",\n  "
         if isinstance(value, list) and value:
             sep = "[\n    "
             for item in value:
-                fh.write(_matrix_text(item, sep)
+                fh.write(_matrix_text(item, sep, texts)
                          if isinstance(item, GradedMatrix)
                          else sep + _indented(item, "    "))
                 sep = ",\n    "

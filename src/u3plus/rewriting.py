@@ -286,7 +286,8 @@ class RewriteSystem:
     def _left_multiply(self, letters: str, terms: dict) -> dict:
         """NF(letters . terms) for a char-string -> coefficient map over
         irreducible words: the letters act right to left through the memo,
-        and :meth:`_derive` computes each missing entry."""
+        and :meth:`_derive` computes each missing entry.  Each image is
+        added in place, as ``_add_scaled`` would, cancelled keys dropped."""
         memo = self._action
         p = self.field.characteristic
         for x in reversed(letters):
@@ -295,7 +296,14 @@ class RewriteSystem:
                 image = memo.get(x + v)
                 if image is None:
                     image = self._derive(x + v)
-                _add_scaled(out, image, c, p)
+                for w, cw in image.items():
+                    s = out.get(w, 0) + c * cw
+                    if p:
+                        s %= p
+                    if s:
+                        out[w] = s
+                    elif w in out:
+                        del out[w]
             terms = out
         return terms
 

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -749,6 +750,32 @@ def test_memoized_chain_map_images_match_action(p, bound):
         assert res.d2_prime(t) == cx._element(
             1, cx._image(2, t, "", res._surgery))
     assert surgered
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def test_letter_action_stores_no_zero_coefficient(p, m):
+    """No value of the letter-action memo or of the image memo keeps a
+    cancelled key, after random irreducible words act on the images of
+    every chain under d_n and d'_2, and on other irreducible words."""
+    res = MinimalResolution(Window(p, 0, m), 8)
+    cx = res.cx
+    words = cx.system.irreducible_words(8)
+    rng = random.Random(10 * p + m)
+    for u in rng.choices(words, k=40):
+        for n in (0, 1, 2):
+            for t in cx.chains(n):
+                cx._image(n, t, u.chars)
+        for t in res.t2_prime_ext:
+            # the surgery reaches the braids of weight up to the bound
+            if t.degree.norm <= 8:
+                cx._image(2, t, u.chars, res._surgery)
+        cx.system._nf_chars(rng.choice(words).chars + u.chars)
+    images = [terms for by_word in cx._images.values()
+              for grouped in by_word.values() for terms in grouped.values()]
+    actions = list(cx.system._action.values())
+    for values in (images, actions):
+        assert values and all(all(terms.values()) for terms in values)
+    assert all(images)
 
 
 @pytest.mark.parametrize("p,m,bound", [(2, 1, 8), (3, 1, 12), (2, 2, 10)])

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from u3plus import AnickComplex, FieldSpec, GradedMatrix, Window, \
+from u3plus import AnickComplex, FieldSpec, GradedMatrix, Window, Word, \
     parse_poly
 from u3plus import cli
 from u3plus.cli import main
@@ -421,17 +421,20 @@ def test_matrices_encoded_one_at_a_time(monkeypatch, cx21):
             self.chunks.append(chunk)
 
     fh = Recorder()
+    encoded = []
     written_at_encode = []
-    to_json = GradedMatrix.to_json
+    matrix_text = cli._matrix_text
 
-    def recording(self):
+    def recording(mat, *args):
+        encoded.append(mat)
         written_at_encode.append(len("".join(fh.chunks)))
-        return to_json(self)
+        return matrix_text(mat, *args)
 
-    monkeypatch.setattr(GradedMatrix, "to_json", recording)
+    monkeypatch.setattr(cli, "_matrix_text", recording)
     cli._dump({"m": matrices}, fh)
     assert "".join(fh.chunks) == expected
-    assert len(written_at_encode) == len(matrices) > 1
+    assert len(matrices) > 1
+    assert [id(m) for m in encoded] == [id(m) for m in matrices]
     assert written_at_encode == sorted(set(written_at_encode))
 
 
@@ -500,6 +503,25 @@ def test_dump_writes_every_matrix_like_json():
     payload = {"d": _report_matrices(), "empty": [], "ok": True}
     assert _dumped(payload) == _reference(payload)
     assert _dumped({}) == "{}\n"
+
+
+def test_dump_shares_texts_between_matrices(cx21):
+    """The word, chain and coefficient texts one dump shares between its
+    matrices: a word labelling rows under two chains, char-0 Fractions
+    equal to the int entries of another matrix, and two reports dumped one
+    after the other."""
+    m, e = cx21.t0[0].word, Word("")
+    t1, t2 = cx21.t1[:2]
+    degree = m.degree + t1.degree
+    ints = GradedMatrix(degree, [(m, t1), (e, t2)], [(m, t2), (e, t1)],
+                        [[(0, 1), (1, 2)], [(1, 1)]])
+    fracs = GradedMatrix(degree, [(m, t2), (m, t1)], [(e, t2)],
+                         [[(0, Fraction(2))], [(0, Fraction(-1, 2))]])
+    assert ints.entries[0][1][1] == fracs.entries[0][0][1]
+    real = _report_matrices()
+    for payload in ({"a": [ints, fracs], "b": [fracs, ints, *real[:3]]},
+                    {"a": [fracs, *real, ints]}, {"z": [ints]}):
+        assert _dumped(payload) == _reference(payload)
 
 
 @pytest.mark.parametrize("name", ["minimal-p3m1-d24", "anick-p3m2-d20"])
