@@ -19,7 +19,6 @@ Layers, bottom up:
 """
 
 from .free_algebra import (
-    Comparison,
     Degree,
     EMPTY_WORD,
     FieldSpec,

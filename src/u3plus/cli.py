@@ -27,6 +27,7 @@ from .free_algebra import (
     FreeAlgebraError,
     QQ,
     Word,
+    _Y_RANK,
     format_poly,
     is_prime,
     parse_poly,
@@ -159,13 +160,14 @@ def _matrix_text(mat: GradedMatrix, lead: str, texts: tuple) -> str:
 
 def _dump(payload: dict, fh) -> None:
     """Write exactly ``json.dumps(payload, indent=2, sort_keys=True)`` plus a
-    newline, one top-level value, and one item of a top-level list, at a
-    time.  The payload's keys are strings.
+    newline, one top-level value at a time, and one item at a time of a
+    top-level list that holds a GradedMatrix.  The payload's keys are
+    strings.
 
     A GradedMatrix item is written as it is reached, from its labels and
     entries in the form of ``to_json``; each word, chain and coefficient is
-    quoted once per call.  Every other value goes through ``json.dumps``,
-    which raises TypeError for a matrix found anywhere else.
+    quoted once per call.  Every other value or item goes through one
+    ``json.dumps``, which raises TypeError for a matrix found anywhere else.
     """
     if not payload:
         fh.write("{}\n")
@@ -179,7 +181,8 @@ def _dump(payload: dict, fh) -> None:
         value = payload[key]
         fh.write(f"{lead}{quote(key)}: ")
         lead = ",\n  "
-        if isinstance(value, list) and value:
+        if isinstance(value, list) and any(
+                isinstance(item, GradedMatrix) for item in value):
             sep = "[\n    "
             for item in value:
                 fh.write(_matrix_text(item, sep, texts)
@@ -190,11 +193,6 @@ def _dump(payload: dict, fh) -> None:
         else:
             fh.write(_indented(value, "  "))
     fh.write("\n}\n")
-
-
-# PBW order of the divided letters: a normal form in characteristic 0 is a
-# combination of ea(i)*eab(j)*eb(k) with each letter optional
-_PBW_RANK = {"ea": 0, "eab": 1, "eb": 2}
 
 
 def _check_truncated(poly, bound: int) -> None:
@@ -208,7 +206,8 @@ def _check_truncated(poly, bound: int) -> None:
 
 
 def _check_pbw(poly, result, bound: int) -> None:
-    """Refuse a normal form that is not in PBW order.
+    """Refuse a normal form that is not in PBW order: each word must be
+    ea(i)*eab(j)*eb(k), each letter optional, ranked by ``_Y_RANK``.
 
     The untruncated system has only the merges that stay inside the bound,
     so a word it leaves out of PBW order needed a rule past it.  Every
@@ -216,7 +215,7 @@ def _check_pbw(poly, result, bound: int) -> None:
     at most max(alpha, beta), so that bound is enough.
     """
     for w in result.terms:
-        ranks = [_PBW_RANK[g.kind] for g in w]
+        ranks = [_Y_RANK[g.kind] for g in w]
         if any(a >= b for a, b in zip(ranks, ranks[1:])):
             need = max(max(w.degree) for w in poly.terms)
             raise UsageError(

@@ -22,7 +22,6 @@ everything in this module can be shared freely between threads.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,9 +36,6 @@ class Degree(NamedTuple):
 
     def __add__(self, other: "Degree") -> "Degree":
         return Degree(self.alpha + other.alpha, self.beta + other.beta)
-
-    def __sub__(self, other: "Degree") -> "Degree":
-        return Degree(self.alpha - other.alpha, self.beta - other.beta)
 
     @property
     def norm(self) -> int:
@@ -245,9 +241,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.chars)
 
-    def __bool__(self) -> bool:
-        return bool(self.chars)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self.chars == other.chars
 
@@ -344,12 +337,7 @@ QQ = FieldSpec(0)
 # --------------------------------------------------------------------------
 
 
-class Comparison(enum.IntEnum):
-    LT = -1
-    EQ = 0
-    GT = 1
-
-
+# the PBW order of the divided kinds
 _Y_RANK = {"ea": 0, "eab": 1, "eb": 2}
 
 
@@ -429,14 +417,15 @@ class OrderSpec:
         return (total, chars.translate(self._phi_table), len(chars),
                 chars.translate(self._xrank_table))
 
-    def compare(self, u: Union[Word, str], v: Union[Word, str]) -> Comparison:
+    def compare(self, u: Union[Word, str], v: Union[Word, str]) -> int:
+        """-1, 0 or 1 as u is below, equal to or above v."""
         ku = self.key(u)
         kv = self.key(v)
         if ku < kv:
-            return Comparison.LT
+            return -1
         if ku > kv:
-            return Comparison.GT
-        return Comparison.EQ
+            return 1
+        return 0
 
     def __repr__(self) -> str:
         if self.variant == "deglex":
@@ -555,10 +544,6 @@ class Polynomial(LinearCombination):
     def monomial(cls, w: Word, field: FieldSpec, coeff=1) -> "Polynomial":
         return cls({w: coeff}, field)
 
-    @classmethod
-    def one(cls, field: FieldSpec) -> "Polynomial":
-        return cls.monomial(EMPTY_WORD, field)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Free product: concatenate words bilinearly."""
         self._check(other)
@@ -597,120 +582,8 @@ class Polynomial(LinearCombination):
 # accepted on input so that characteristic-zero output round-trips.
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<eab>eab\((\d+)\))|(?P<ea>ea\((\d+)\))|(?P<eb>eb\((\d+)\))"
-    r"|(?P<a>a(\d+))|(?P<b>b(\d+))|(?P<int>\d+)"
-    r"|(?P<plus>\+)|(?P<minus>-)|(?P<star>\*)|(?P<slash>/))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected input {stripped[:8]!r}", pos)
-        kind = m.lastgroup
-        if kind is None:
-            break
-        for name in ("eab", "ea", "eb", "a", "b", "int"):
-            if m.group(name):
-                value = re.search(r"\d+", m.group(name)).group()
-                out.append((name, value, m.start(name)))
-                break
-        else:
-            out.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, field: FieldSpec, prime: Optional[int]):
-        self.tokens = tokens
-        self.i = 0
-        self.field = field
-        self.prime = prime
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input",
-                             self.tokens[-1][2] if self.tokens else 0)
-        self.i += 1
-        return tok
-
-    def generator(self, tok) -> Generator:
-        kind, value, pos = tok
-        k = int(value)
-        if kind in ("a", "b"):
-            if self.prime is None:
-                raise ParseError(
-                    f"generator {kind}{k} needs a prime (characteristic 0)", pos)
-            return gen_a(k, self.prime) if kind == "a" else gen_b(k, self.prime)
-        try:
-            return divided_generator(kind, k)
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
-
-    def term(self) -> tuple[Coefficient, Word]:
-        tok = self.next()
-        coeff: Coefficient = 1
-        if tok[0] == "int":
-            coeff = int(tok[1])
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "slash":
-                self.next()
-                den = self.next()
-                if den[0] != "int":
-                    raise ParseError("expected denominator", den[2])
-                denominator = int(den[1])
-                if not denominator:
-                    raise ParseError("zero denominator", den[2])
-                coeff = Fraction(coeff, denominator)
-                nxt = self.peek()
-            if nxt is None or nxt[0] != "star":
-                return coeff, EMPTY_WORD
-            self.next()
-            tok = self.next()
-        if tok[0] not in ("a", "b", "ea", "eab", "eb"):
-            raise ParseError(f"expected a generator, got {tok[1]!r}", tok[2])
-        letters = [self.generator(tok)]
-        while True:
-            nxt = self.peek()
-            if nxt is None or nxt[0] != "star":
-                break
-            self.next()
-            g = self.next()
-            if g[0] not in ("a", "b", "ea", "eab", "eb"):
-                raise ParseError(f"expected a generator, got {g[1]!r}", g[2])
-            letters.append(self.generator(g))
-        return coeff, Word.of(letters)
-
-    def poly(self) -> Polynomial:
-        terms: dict[Word, Coefficient] = {}
-        field = self.field
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok[0] in ("plus", "minus"):
-            self.next()
-            sign = -1 if tok[0] == "minus" else 1
-        while True:
-            coeff, w = self.term()
-            _add_scaled(terms, {w: field.coerce(coeff)}, sign,
-                        field.characteristic)
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok[0] not in ("plus", "minus"):
-                raise ParseError(f"expected '+' or '-', got {tok[1]!r}", tok[2])
-            self.next()
-            sign = -1 if tok[0] == "minus" else 1
-        return Polynomial(terms, field, _clean=True)
+    r"\s*(?P<token>(?P<divided>eab|ea|eb)\((?P<divided_index>\d+)\)"
+    r"|(?P<small>[ab])(?P<small_index>\d+)|(?P<int>\d+)|(?P<op>[-+*/]))")
 
 
 def parse_poly(text: str, field: FieldSpec,
@@ -718,16 +591,74 @@ def parse_poly(text: str, field: FieldSpec,
     """Parse the expression grammar into a polynomial.
 
     ``a``/``b`` generators need a prime to fix their weights; it defaults to
-    the field characteristic when that is positive.
+    the field characteristic when that is positive.  A :class:`ParseError`
+    quotes the token it stops at, with that token's position.
     """
     if prime is None and field.characteristic:
         prime = field.characteristic
-    tokens = _tokenize(text)
-    if not tokens:
+    found = []
+    pos = 0
+    while m := _TOKEN_RE.match(text, pos):
+        found.append(m)
+        pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected input {rest[:8]!r}", pos)
+    if not found:
         raise ParseError("empty input", 0)
-    parser = _Parser(tokens, field, prime)
-    result = parser.poly()
-    return result
+    end = found[-1].start("token")
+    tokens = iter(found)
+    tok = next(tokens)
+    terms: dict[Word, Coefficient] = {}
+    op = "+"  # the operator before the operand tok; '+' and '-' open a term
+    if tok["op"] in ("+", "-"):
+        op = tok["op"]
+        tok = next(tokens, None)
+    while True:
+        if tok is None:
+            raise ParseError("unexpected end of input", end)
+        at = tok.start("token")
+        opens = op in ("+", "-")
+        if opens:
+            sign = -1 if op == "-" else 1
+            coeff: Coefficient = 1
+            letters: list[Generator] = []
+        if op == "/":
+            if not tok["int"]:
+                raise ParseError("expected denominator", at)
+            if not int(tok["int"]):
+                raise ParseError("zero denominator", at)
+            coeff = Fraction(coeff, int(tok["int"]))
+        elif opens and tok["int"]:
+            coeff = int(tok["int"])
+        elif tok["small"]:
+            if prime is None:
+                raise ParseError(
+                    f"generator {tok['small']}{int(tok['small_index'])} "
+                    "needs a prime (characteristic 0)", at)
+            make = gen_a if tok["small"] == "a" else gen_b
+            letters.append(make(int(tok["small_index"]), prime))
+        elif tok["divided"]:
+            try:
+                letters.append(divided_generator(tok["divided"],
+                                                 int(tok["divided_index"])))
+            except ValueError as exc:
+                raise ParseError(str(exc), at) from None
+        else:
+            raise ParseError(f"expected a generator, got {tok['token']!r}", at)
+        tok = next(tokens, None)
+        follows = tok["op"] if tok else None
+        # '*' joins factors; '/' may follow only the int that opens a term
+        if follows != "*" and (follows != "/" or not opens or letters):
+            _add_scaled(terms, {Word.of(letters): field.coerce(coeff)}, sign,
+                        field.characteristic)
+            if tok is None:
+                return Polynomial(terms, field, _clean=True)
+            if follows not in ("+", "-"):
+                raise ParseError(f"expected '+' or '-', got {tok['token']!r}",
+                                 tok.start("token"))
+        op = follows
+        tok = next(tokens, None)
 
 
 def _format_coeff(c: Coefficient) -> str:

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import functools
 import hashlib
@@ -134,6 +135,66 @@ class TestNf:
                            "ea(1)*ea(1)*ea(1)")
         assert code == 0
         assert out.strip() == "0"
+
+    @pytest.mark.parametrize("expression,message", [
+        ("a0 b0", "expected '+' or '-', got 'b0' (at position 3)"),
+        ("ea(1) eb(2)", "expected '+' or '-', got 'eb(2)' (at position 6)"),
+    ])
+    def test_parse_error_quotes_the_whole_generator(self, capsys, expression,
+                                                    message):
+        code, out, err = run(capsys, "nf", "--p", "3", "--m", "1",
+                             expression)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+# expression text: generator tokens (some out of range), integers,
+# operators, parentheses, spaces and junk characters, or well-formed sums
+# of words in one alphabet
+_NF_PIECES = st.sampled_from([
+    "a0", "b0", "a1", "b1", "a2", "b01", "ea(1)", "eab(1)", "eb(2)", "ea(3)",
+    "eab(4)", "eb(0)", "0", "1", "2", "3", "10", "/", "*", "+", "-", "(", ")",
+    " ", "\t", "e", "ab", "x", "$", "\u00e9", "\u0663"]) | st.text(max_size=1)
+
+
+def _nf_sums(letters):
+    term = st.builds(lambda coeff, w: coeff + "*".join(w),
+                     st.sampled_from(["", "2*", "1/2*", "10*"]),
+                     st.lists(st.sampled_from(letters), min_size=1,
+                              max_size=4))
+    return st.lists(term, min_size=1, max_size=3).map(" - ".join)
+
+
+_NF_EXPRESSIONS = (st.lists(_NF_PIECES, max_size=10).map("".join)
+                   | st.sampled_from([("a0", "b0", "a1", "b1"),
+                                      ("ea(1)", "eab(1)", "eb(2)", "ea(3)")])
+                   .flatmap(_nf_sums))
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression=_NF_EXPRESSIONS,
+       p=st.sampled_from(["2", "3"]), m=st.sampled_from(["1", "2"]),
+       char0=st.booleans(), bound=st.none() | st.sampled_from(["1", "2", "3"]))
+def test_nf_fails_only_with_one_error_line(expression, p, m, char0, bound):
+    """Any expression text gives a normal form (exit 0) or exactly one
+    error line (exit 2), never a traceback."""
+    argv = ["nf", "--p", p, "--m", m]
+    if char0:
+        argv.append("--char0")
+    if bound is not None:
+        argv += ["--bound", bound]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--", expression])
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert err == "" and out.count("\n") == 1
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestGb:

@@ -4,7 +4,6 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from u3plus import (
-    Comparison,
     Degree,
     EMPTY_WORD,
     FieldSpec,
@@ -80,18 +79,17 @@ class TestDegreesAndGenerators:
 
 class TestCompareWords:
     def test_empty_word_is_least(self):
-        assert DEGLEX2.compare(EMPTY_WORD, word(A0)) is Comparison.LT
+        assert DEGLEX2.compare(EMPTY_WORD, word(A0)) == -1
 
     def test_skew_leading_monomial_orientation(self):
         # equal weight, first letters decide: a1 outranks b0
-        assert DEGLEX2.compare(word(A1, B0),
-                               word(B0, A1)) is Comparison.GT
+        assert DEGLEX2.compare(word(A1, B0), word(B0, A1)) == 1
 
     def test_big_order_straightening_orientation(self):
         u = word(eb(2), ea(1))
         v = word(ea(1), eab(1), eb(1))
         # equal expansion length 3; expansion-wise eb eb ea > ea eab eb
-        assert BIG.compare(u, v) is Comparison.GT
+        assert BIG.compare(u, v) == 1
 
     def test_small_generators_rejected_by_big_order(self):
         with pytest.raises(OrderDomainError):
@@ -181,6 +179,63 @@ class TestGrammar:
             parse_poly("1/0*ea(1)", field)
         assert "zero denominator" in str(err.value)
 
+    # one row per ParseError branch: text, field, message, position
+    @pytest.mark.parametrize("text,field,message,position", [
+        ("", F2, "empty input", 0),
+        ("  \t ", F2, "empty input", 0),
+        ("a0 + $x", F2, "unexpected input '$x'", 4),
+        ("a0 * e(1) + b0", F2, "unexpected input 'e(1) + b'", 4),
+        ("ea(1", QQ, "unexpected input 'ea(1'", 0),
+        ("a0 +", F2, "unexpected end of input", 3),
+        ("-", F2, "unexpected end of input", 0),
+        ("2 *", F2, "unexpected end of input", 2),
+        ("3/", QQ, "unexpected end of input", 1),
+        ("1/a0", F2, "expected denominator", 2),
+        ("1/-2", QQ, "expected denominator", 2),
+        ("1/0*ea(1)", QQ, "zero denominator", 2),
+        ("ea(1) - 5/00", QQ, "zero denominator", 10),
+        ("2*3", F2, "expected a generator, got '3'", 2),
+        ("a0 + * b0", F2, "expected a generator, got '*'", 5),
+        ("a0*+b0", F2, "expected a generator, got '+'", 3),
+        ("a0 b0", F3, "expected '+' or '-', got 'b0'", 3),
+        ("ea(1) eb(2)", QQ, "expected '+' or '-', got 'eb(2)'", 6),
+        ("2/3/4", QQ, "expected '+' or '-', got '/'", 3),
+        ("a0 7", F2, "expected '+' or '-', got '7'", 3),
+        ("a0", QQ, "generator a0 needs a prime (characteristic 0)", 0),
+        ("ea(1)*b01", QQ, "generator b1 needs a prime (characteristic 0)",
+         6),
+        ("ea(0)", QQ, "divided power must be >= 1", 0),
+        ("eab(2) + 3*eb(00)", F2, "divided power must be >= 1", 11),
+    ])
+    def test_parse_error_message_and_position(self, text, field, message,
+                                              position):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, field)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_parse_inverts_format(self, data):
+        field, prime = data.draw(st.sampled_from(
+            [(F2, 2), (F3, 3), (QQ, 2), (QQ, 3)]))
+        letters = st.sampled_from(small_window_alphabet(prime, 0, 2)
+                                  + divided_alphabet(3))
+        coeffs = (st.fractions(-9, 9, max_denominator=8) if field == QQ
+                  else st.integers(-9, 9))
+        terms = data.draw(st.dictionaries(
+            st.lists(letters, max_size=4).map(Word.of), coeffs, max_size=5))
+        f = Polynomial(terms, field)
+        assert parse_poly(format_poly(f), field, prime=prime) == f
+
+    def test_coefficient_checked_before_the_next_token(self):
+        # a term's coefficient is reduced into the field as soon as the
+        # term ends, before the token after it is read
+        with pytest.raises(CoefficientError):
+            parse_poly("1/3 b0", F3)
+        with pytest.raises(ParseError):
+            parse_poly("1/3 b0", QQ, prime=3)
+
 
 class TestCoerce:
     @pytest.mark.parametrize("p,value,residue", [
@@ -235,17 +290,16 @@ class TestOrderAxioms:
         u = data.draw(words)
         v = data.draw(words)
         c = order.compare(u, v)
-        assert c in (Comparison.LT, Comparison.EQ, Comparison.GT)
-        assert (c is Comparison.EQ) == (u == v)
-        assert order.compare(v, u) is Comparison(-c)
+        assert type(c) is int and c in (-1, 0, 1)
+        assert (c == 0) == (u == v)
+        assert order.compare(v, u) == -c
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_transitive(self, order, words, data):
         u, v, w = (data.draw(words) for _ in range(3))
-        if order.compare(u, v) is not Comparison.GT \
-                and order.compare(v, w) is not Comparison.GT:
-            assert order.compare(u, w) is not Comparison.GT
+        if order.compare(u, v) != 1 and order.compare(v, w) != 1:
+            assert order.compare(u, w) != 1
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -253,15 +307,15 @@ class TestOrderAxioms:
         u = data.draw(words)
         v = data.draw(words)
         w = data.draw(words)
-        if order.compare(u, v) is Comparison.LT:
-            assert order.compare(u * w, v * w) is Comparison.LT
-            assert order.compare(w * u, w * v) is Comparison.LT
+        if order.compare(u, v) == -1:
+            assert order.compare(u * w, v * w) == -1
+            assert order.compare(w * u, w * v) == -1
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_empty_word_least(self, order, words, data):
         w = data.draw(words)
-        assert order.compare(EMPTY_WORD, w) is not Comparison.GT
+        assert order.compare(EMPTY_WORD, w) != 1
 
 
 STR_LETTERS = (st.sampled_from(small_window_alphabet(2, 0, 3)
