@@ -15,7 +15,8 @@ builds:
   T_1 is an antichain (the basis is reduced), and a 2-chain ending another
   one would start a left-hand side where the recursion rules one out;
 * the free modules P_n on those chains, with K-basis m.t (m an irreducible
-  word, t a chain), ordered through m.t -> mt;
+  word, t a chain), ordered through m.t -> mt; an element of P_n, a graded
+  basis label and a matrix label all key m.t as (m chars, t);
 * the maps delta_n / j_n, both read off that one suffix, and the mutually
   recursive differentials d_n and splittings i_n:
 
@@ -38,10 +39,11 @@ builds:
 
 Every image m.d_n(t) of a basis element, and m.f(t) for a supplied chain map
 f such as the surgered d'_2, is memoized on the complex, keyed by (n, t, f)
-and then by the word m; the empty word's entry, d_n(.t) or f(.t), is
-computed there once and read by :meth:`AnickComplex.d_chain`.  A missing
-image x m'.d_n(t) is the letter x acting on the memoized image of its
-suffix m'.t, so each image costs one letter action, and the differentials,
+and then by the word m, as one flat (m chars, chain) -> coefficient map;
+the empty word's entry, d_n(.t) or f(.t), is computed there once and read
+by :meth:`AnickComplex.d_chain`.  A missing image x m'.d_n(t) is the letter
+x acting on the memoized image of its suffix m'.t, one call of the system's
+letter action on every chain of that image at once, and the differentials,
 the splittings and the graded matrices all read the same images; a letter
 acts from the system's letter-action memo, computing only missing entries.
 
@@ -57,7 +59,7 @@ smallest source basis element of each row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .free_algebra import (
     Degree,
@@ -112,7 +114,7 @@ class Chain:
 
 
 class ModuleElement(LinearCombination):
-    """Finitely supported combination of basis elements m.t of one P_n."""
+    """A combination of basis elements m.t of one P_n, keyed (m chars, t)."""
 
     __slots__ = ("level",)
 
@@ -126,7 +128,7 @@ class ModuleElement(LinearCombination):
         return cls(level, {}, field, _clean=True)
 
     @classmethod
-    def basis(cls, m: Word, chain: Chain, field: FieldSpec,
+    def basis(cls, m: str, chain: Chain, field: FieldSpec,
               coeff=1) -> "ModuleElement":
         return cls(chain.level, {(m, chain): coeff}, field)
 
@@ -141,18 +143,15 @@ class ModuleElement(LinearCombination):
     def __eq__(self, other: object) -> bool:
         return super().__eq__(other) and self.level == other.level
 
-    def coefficient(self, m: Word, chain: Chain):
-        return super().coefficient((m, chain))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for (m, t), c in sorted(
                 self.terms.items(),
-                key=lambda kv: (str(kv[0][1].word), str(kv[0][0]))):
+                key=lambda kv: (str(kv[0][1].word), str(Word(kv[0][0])))):
             coeff = "" if c == 1 else f"{c}*"
-            head = str(m) if not m.is_empty else ""
+            head = str(Word(m)) if m else ""
             tail = str(t.word) if t.level >= 0 else "e"
             parts.append(f"{coeff}{head}.{tail}")
         return " + ".join(parts)
@@ -165,17 +164,6 @@ class ModuleElement(LinearCombination):
 # exact graded matrices
 # --------------------------------------------------------------------------
 
-# a module element grouped by chain: {chain: {word chars: coefficient}}
-_Grouped = dict[Chain, dict[str, object]]
-
-
-def _grouped(elt: ModuleElement) -> _Grouped:
-    out: _Grouped = {}
-    for (w, t), c in elt.items():
-        out.setdefault(t, {})[w.chars] = c
-    return out
-
-
 @dataclass
 class GradedMatrix:
     """The matrix of one differential in one degree, over the exact field.
@@ -185,8 +173,8 @@ class GradedMatrix:
     """
 
     degree: Degree
-    row_labels: list[tuple[Word, Chain]]
-    col_labels: list[tuple[Word, Chain]]
+    row_labels: list[tuple[str, Chain]]
+    col_labels: list[tuple[str, Chain]]
     entries: list[list[tuple[int, object]]]
 
     def rank(self, field: FieldSpec) -> int:
@@ -195,8 +183,8 @@ class GradedMatrix:
     def to_json(self) -> dict:
         return {
             "degree": [self.degree.alpha, self.degree.beta],
-            "rows": [[str(m), str(t.word)] for m, t in self.row_labels],
-            "cols": [[str(m), str(t.word)] for m, t in self.col_labels],
+            "rows": [[str(Word(m)), str(t.word)] for m, t in self.row_labels],
+            "cols": [[str(Word(m)), str(t.word)] for m, t in self.col_labels],
             "entries": [[i, j, str(x)] for i, row in enumerate(self.entries)
                         for j, x in row],
         }
@@ -243,7 +231,7 @@ def _product_failures(name: str, left: Iterable, right: GradedMatrix,
             for k, x in right.entries[j]:
                 acc[k] = acc.get(k, 0) + c * x
         nonzero.update(k for k, x in acc.items() if coerce(x))
-    return [(name, str(m), str(t.word))
+    return [(name, str(Word(m)), str(t.word))
             for m, t in (right.col_labels[k] for k in sorted(nonzero))]
 
 
@@ -301,18 +289,18 @@ class AnickComplex:
         for n in range(3):
             self._by_chars[n] = self._build_level(n)
         self.t0, self.t1, self.t2 = (self.chains(n) for n in range(3))
-        # (n, chain, dmap) -> m chars -> m.d_n(t) or m.dmap(t), grouped;
+        # (n, chain, dmap) -> m chars -> the terms of m.d_n(t) or m.dmap(t);
         # the key "" holds the image of .t itself
-        self._images: dict[tuple, dict[str, _Grouped]] = {}
+        self._images: dict[tuple, dict[str, dict]] = {}
         self._words_bound = -1
-        # degree -> (rank string, word) for each irreducible word of it
-        self._words_by_degree: dict[Degree, list[tuple[str, Word]]] = {}
+        # degree -> (rank string, chars) for each irreducible word of it
+        self._words_by_degree: dict[Degree, list[tuple[str, str]]] = {}
         # chain set -> (alpha, beta) -> (rank string, chain) of its chains
         self._chain_groups: dict[tuple, dict[tuple, list]] = {}
         # the bases of one degree, by (level, chain set): the matrices that
         # meet at a basis share its list
         self._bases_degree: Optional[Degree] = None
-        self._bases: dict[tuple, list[tuple[Word, Chain]]] = {}
+        self._bases: dict[tuple, list[tuple[str, Chain]]] = {}
 
     # -- chain sets ---------------------------------------------------------
 
@@ -373,23 +361,23 @@ class AnickComplex:
     def _ensure_words(self, norm_bound: int) -> None:
         if norm_bound <= self._words_bound:
             return
-        by_degree: dict[Degree, list[tuple[str, Word]]] = {}
+        by_degree: dict[Degree, list[tuple[str, str]]] = {}
         for w in self.system.irreducible_words(norm_bound):
             by_degree.setdefault(w.degree, []).append(
-                (w.chars.translate(self._rank_table), w))
+                (w.chars.translate(self._rank_table), w.chars))
         self._words_by_degree = by_degree
         self._words_bound = norm_bound
 
-    def pair_key(self, m: Word, chain: Chain):
+    def pair_key(self, m: str, chain: Chain):
         """Basis order on m.t via the word mt, which determines m.t within
         one level: mt has at most one chain suffix there."""
-        return self.order.key(m.chars + chain.word.chars)
+        return self.order.key(m + chain.word.chars)
 
     def basis(self, level: int, degree: Degree,
               chain_set: Optional[Sequence[Chain]] = None
-              ) -> list[tuple[Word, Chain]]:
-        """The K-basis of (P_level)_degree, sorted descending by
-        :meth:`pair_key`.
+              ) -> list[tuple[str, Chain]]:
+        """The K-basis of (P_level)_degree as (m chars, t) keys, sorted
+        descending by :meth:`pair_key`.
 
         The bases of one degree are kept until a basis of another degree is
         asked for, so the matrices that meet at one basis share its list.
@@ -411,7 +399,7 @@ class AnickComplex:
         alpha, beta = degree
         # every mt of one degree has the same weight, so pair_key compares
         # the ranks of the letters of mt, and those rank strings differ
-        keyed: dict[str, tuple[Word, Chain]] = {}
+        keyed: dict[str, tuple[str, Chain]] = {}
         for (ta, tb), group in groups.items():
             ranked = words.get((alpha - ta, beta - tb))
             if ranked:
@@ -423,19 +411,16 @@ class AnickComplex:
 
     # -- the maps -------------------------------------------------------------
 
-    def act(self, m: Union[Word, str], elt: ModuleElement) -> ModuleElement:
-        """Left action of a word on an element whose words are irreducible:
-        the letters of m act through the system's letter-action memo."""
-        chars = m.chars if isinstance(m, Word) else m
-        left_multiply = self.system._left_multiply
-        return self._element(elt.level, {
-            t: left_multiply(chars, terms)
-            for t, terms in _grouped(elt).items()})
+    def act(self, m: str, elt: ModuleElement) -> ModuleElement:
+        """Left action of the word with chars m on an element whose words
+        are irreducible, through the system's letter-action memo."""
+        return ModuleElement(elt.level, self.system._left_multiply(
+            m, elt.terms), self.field, _clean=True)
 
     def act_poly(self, f: Polynomial, elt: ModuleElement) -> ModuleElement:
         out = ModuleElement.zero(elt.level, self.field)
         for w, c in f.items():
-            out = out + self.act(w, elt).scale(c)
+            out = out + self.act(w.chars, elt).scale(c)
         return out
 
     def delta(self, n: int, chain: Chain) -> ModuleElement:
@@ -444,32 +429,33 @@ class AnickComplex:
         if chain.level != n or tail is None:
             raise ValueError(f"no delta_{n} on {chain!r}")
         u = chain.word.chars[:len(chain.word.chars) - len(tail.word.chars)]
-        return self._element(n - 1, {tail: self.system._nf_chars(u)})
+        return ModuleElement(n - 1, self.system._left_multiply(
+            u, {("", tail): self.field.coerce(1)}), self.field, _clean=True)
 
-    def jmap(self, n: int, m: Word, chain: Chain) -> Optional[ModuleElement]:
+    def jmap(self, n: int, m: str, chain: Chain) -> Optional[ModuleElement]:
         """j_n on the basis element m.(chain); None encodes 0.
 
         j_n(m.t) = u.vt when m = uv and vt is an n-chain (its tail is t).
         A word has at most one n-chain suffix, so the first found is it.
         """
         lookup = self._level(n)
-        chars, suffix = m.chars, chain.word.chars
-        for i in range(len(chars), -1, -1):
-            hit = lookup.get(chars[i:] + suffix)
+        for i in range(len(m), -1, -1):
+            hit = lookup.get(m[i:] + chain.word.chars)
             if hit is not None:
-                return ModuleElement.basis(Word(chars[:i]), hit, self.field)
+                return ModuleElement.basis(m[:i], hit, self.field)
         return None
 
     def d_chain(self, n: int, chain: Chain,
                 dmap: Optional[Callable[[Chain], ModuleElement]] = None
                 ) -> ModuleElement:
         """d_n(.t), or dmap(.t): the empty word's entry of the image memo."""
-        return self._element(n - 1, self._image(n, chain, "", dmap))
+        return ModuleElement(n - 1, self._image(n, chain, "", dmap),
+                             self.field, _clean=True)
 
     def _image(self, n: int, chain: Chain, m: str,
                dmap: Optional[Callable[[Chain], ModuleElement]] = None
-               ) -> _Grouped:
-        """m.d_n(t), or m.dmap(t), grouped by chain; memoized, read only.
+               ) -> dict:
+        """The terms of m.d_n(t), or of m.dmap(t); memoized, read only.
 
         The empty word's entry is computed first, from delta_n or dmap.  A
         missing image x m'.t is the letter x acting on the image of m'.t;
@@ -481,7 +467,7 @@ class AnickComplex:
             base = self.delta(n, chain) if dmap is None else dmap(chain)
             if dmap is None and n > 0:
                 base = base - self.splitting(n - 1, self.d(n - 1, base))
-            images = self._images[key] = {"": _grouped(base)}
+            images = self._images[key] = {"": base.terms}
         image = images.get(m)
         if image is not None:
             return image
@@ -489,28 +475,19 @@ class AnickComplex:
         while m[i:] not in images:
             i += 1
         image = images[m[i:]]
-        left_multiply = self.system._left_multiply
         for k in range(i - 1, -1, -1):
-            image = {t: acted for t, terms in image.items()
-                     if (acted := left_multiply(m[k], terms))}
-            images[m[k:]] = image
+            image = images[m[k:]] = self.system._left_multiply(m[k], image)
         return image
-
-    def _element(self, level: int, elt: _Grouped) -> ModuleElement:
-        return ModuleElement(
-            level, {(Word(w), t): c for t, terms in elt.items()
-                    for w, c in terms.items()}, self.field, _clean=True)
 
     def d(self, n: int, elt: ModuleElement) -> ModuleElement:
         """The differential extended module-linearly."""
         if elt.level != n:
             raise ValueError(f"element of level {elt.level} fed to d_{n}")
         p = self.field.characteristic
-        out: _Grouped = {}
+        out: dict = {}
         for (m, t), c in elt.items():
-            for tt, image in self._image(n, t, m.chars).items():
-                _add_scaled(out.setdefault(tt, {}), image, c, p)
-        return self._element(n - 1, out)
+            _add_scaled(out, self._image(n, t, m), c, p)
+        return ModuleElement(n - 1, out, self.field, _clean=True)
 
     def leading_basis_term(self, elt: ModuleElement):
         return max(elt.terms.items(), key=lambda kv: self.pair_key(*kv[0]))
@@ -535,13 +512,13 @@ class AnickComplex:
             lead = self.pair_key(m, t)
             if previous is not None and lead >= previous:
                 raise SplittingError(
-                    f"leading term {m}{t} is not below the previous "
+                    f"leading term {Word(m)}{t} is not below the previous "
                     f"step's leading term; i_{n} does not descend")
             previous = lead
             image = self.jmap(n, m, t)
             if image is None:
                 raise SplittingError(
-                    f"leading term {m}{t} admits no chain "
+                    f"leading term {Word(m)}{t} admits no chain "
                     f"factorization; input is not a boundary")
             image = image.scale(c)
             result = result + image
@@ -568,15 +545,11 @@ class AnickComplex:
         """The matrix of d_n (or of a supplied chain map) in one degree."""
         cols = self.basis(n, degree, source_chains)
         rows = self.basis(n - 1, degree, target_chains)
-        index: dict[Chain, dict[str, int]] = {}
-        for i, (m, t) in enumerate(rows):
-            index.setdefault(t, {})[m.chars] = i
+        index = {label: i for i, label in enumerate(rows)}
         entries: list[list[tuple[int, object]]] = [[] for _ in rows]
         for jcol, (m, t) in enumerate(cols):
-            for tt, terms in self._image(n, t, m.chars, dmap).items():
-                row_of = index[tt]
-                for w, c in terms.items():
-                    entries[row_of[w]].append((jcol, c))
+            for label, c in self._image(n, t, m, dmap).items():
+                entries[index[label]].append((jcol, c))
         return GradedMatrix(degree, rows, cols, entries)
 
     def relevant_degrees(self, deg_bound: int) -> list[Degree]:
@@ -600,7 +573,7 @@ class AnickComplex:
                     1: len(d2.row_labels), 2: len(d2.col_labels)}
             # the augmentation reads the coefficient of 1.e
             eps = [[(i, 1)] for i, (m, _t) in enumerate(d0.row_labels)
-                   if m.is_empty]
+                   if not m]
             failures = [f for name, left, right in (
                 ("eps_d0", eps, d0), ("d0_d1", d0.entries, d1),
                 ("d1_d2", d1.entries, d2))

@@ -142,9 +142,9 @@ def _matrix_text(mat: GradedMatrix, lead: str, texts: tuple) -> str:
     parts = [lead, "{"]
     sep = "\n"
     for key, items in (
-            ("cols", [words[m.chars] + chains[t] for m, t in mat.col_labels]),
+            ("cols", [words[m] + chains[t] for m, t in mat.col_labels]),
             ("degree", None), ("entries", cells),
-            ("rows", [words[m.chars] + chains[t] for m, t in mat.row_labels])):
+            ("rows", [words[m] + chains[t] for m, t in mat.row_labels])):
         parts.append(f'{sep}{_P1}"{key}": ')
         sep = ",\n"
         if items is None:
@@ -195,14 +195,12 @@ def _dump(payload: dict, fh) -> None:
     fh.write("\n}\n")
 
 
-def _check_truncated(poly, bound: int) -> None:
-    """Refuse letters outside the truncated system on indices <= bound."""
+def _check_letters(poly, low: int, high: int, where: str) -> None:
+    """Refuse letters whose index lies outside low..high."""
     for w in poly.terms:
         for g in w:
-            if g.index > bound:
-                raise UsageError(
-                    f"letter {g.token} is outside the truncated system "
-                    f"on indices <= {bound}")
+            if not low <= g.index <= high:
+                raise UsageError(f"letter {g.token} is outside {where}")
 
 
 def _check_pbw(poly, result, bound: int) -> None:
@@ -239,11 +237,14 @@ def cmd_nf(args) -> int:
             raise UsageError("--bound applies only to expressions in the "
                              "divided alphabet")
         system = small_groebner_basis(win)
+        _check_letters(poly, win.j, win.m - 1, f"the window of indices "
+                       f"{win.j}..{win.m - 1} (--j {win.j}, --m {win.m})")
     else:
         bound = _bound(args, win)
         system = _big_system(field, args, win, truncated=not args.char0)
         if not args.char0:
-            _check_truncated(poly, bound)
+            _check_letters(poly, 0, bound, "the truncated system on "
+                           f"indices <= {bound}")
     result = system.normal_form(poly)
     if args.char0:  # only divided expressions get here
         _check_pbw(poly, result, bound)

@@ -631,17 +631,18 @@ def parse_poly(text: str, field: FieldSpec,
             coeff = Fraction(coeff, int(tok["int"]))
         elif opens and tok["int"]:
             coeff = int(tok["int"])
-        elif tok["small"]:
-            if prime is None:
-                raise ParseError(
-                    f"generator {tok['small']}{int(tok['small_index'])} "
-                    "needs a prime (characteristic 0)", at)
-            make = gen_a if tok["small"] == "a" else gen_b
-            letters.append(make(int(tok["small_index"]), prime))
-        elif tok["divided"]:
+        elif tok["small"] and prime is None:
+            raise ParseError(
+                f"generator {tok['small']}{int(tok['small_index'])} "
+                "needs a prime (characteristic 0)", at)
+        elif tok["small"] or tok["divided"]:
             try:
-                letters.append(divided_generator(tok["divided"],
-                                                 int(tok["divided_index"])))
+                if tok["small"]:
+                    make = gen_a if tok["small"] == "a" else gen_b
+                    letters.append(make(int(tok["small_index"]), prime))
+                else:
+                    letters.append(divided_generator(
+                        tok["divided"], int(tok["divided_index"])))
             except ValueError as exc:
                 raise ParseError(str(exc), at) from None
         else:

@@ -32,7 +32,6 @@ from typing import Sequence
 
 from .free_algebra import (
     Degree,
-    EMPTY_WORD,
     FreeAlgebraError,
     Polynomial,
     Word,
@@ -58,7 +57,7 @@ def radical_membership(x: ModuleElement) -> bool:
     For graded free modules this is exactly smallness of the submodule the
     element generates.
     """
-    return all(not m.is_empty for (m, _t) in x.terms)
+    return all(m for (m, _t) in x.terms)
 
 
 def _braid_word(win: Window, k: int) -> Word:
@@ -234,12 +233,12 @@ class MinimalResolution:
                     f"generator index {worst + 1}")
             braid = self._braid_chain[worst]
             boundary = cx.d_chain(2, sub)
-            unit = boundary.coefficient(EMPTY_WORD, braid)
+            unit = boundary.coefficient(("", braid))
             if not unit:
                 raise WindowTooSmallError(
                     f"substitute source {sub.word} does not reach the braid "
                     f"coordinate of index {worst}")
-            r_k = Polynomial({m: c for (m, t), c in f.terms.items()
+            r_k = Polynomial({Word(m): c for (m, t), c in f.terms.items()
                               if t == braid}, field, _clean=True)
             factor = field.neg(field.invert(unit))
             f = f + cx.act_poly(r_k.scale(factor), boundary)
@@ -366,12 +365,12 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
             chain = _t2_chain(cx, src_word, ChainError,
                               f"the lemma {name} needs it")
             image = cx.d_chain(2, chain)
-            got = image.coefficient(EMPTY_WORD, Chain(1, braid))
+            got = image.coefficient(("", Chain(1, braid)))
             checks.append(CoefficientCheck(
                 f"{name} at .(b{k}*a{k})^p", str(expected), str(got),
                 field.coerce(got) == expected))
             ab_next = Word.of([ext.a(k + 1), ext.b(k + 1)])
-            got = image.coefficient(EMPTY_WORD, Chain(1, ab_next))
+            got = image.coefficient(("", Chain(1, ab_next)))
             checks.append(CoefficientCheck(
                 f"{name} at .a{k + 1}*b{k + 1}", "0", str(got), got == 0))
 
@@ -379,7 +378,7 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
     key = cx.order.key
     for t1, t2 in sorted(cx.matches_w(), key=lambda pair: key(pair[1].word)):
         if key(t1.word) > key(t2.word):
-            got = cx.d_chain(2, t2).coefficient(EMPTY_WORD, t1)
+            got = cx.d_chain(2, t2).coefficient(("", t1))
             checks.append(CoefficientCheck(
                 f"d2(.{t2.word}) at larger .{t1.word}", "0", str(got),
                 got == 0))

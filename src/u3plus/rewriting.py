@@ -25,12 +25,13 @@ word.  A letter x acts on an irreducible word v by rewriting x.v at position
 left-hand side, and letting every rhs word act in turn on the rest of v.
 The action of each letter on each irreducible word is memoized on the
 system, so the memo holds at most |alphabet| x |irreducible words reached|
-entries; every normal form is one loop over it (``_left_multiply``) that
-derives a missing entry on an explicit stack.  For complete systems the
-result is strategy-independent; for incomplete ones it is still an
-irreducible reduct of the input, though not necessarily the one another
-strategy would reach.  One-step reduction (``reduce_once``) rewrites the
-order-greatest reducible monomial at its leftmost redex, longest left-hand
+entries.  Every normal form, and every action of a word on a module element,
+is one loop over it (``_left_multiply``) on (word, tail) keys that carries the
+tail through untouched and derives a missing entry on an explicit stack.  For
+complete systems the result is strategy-independent; for incomplete ones it is
+still an irreducible reduct of the input, though not necessarily the one
+another strategy would reach.  One-step reduction (``reduce_once``) rewrites
+the order-greatest reducible monomial at its leftmost redex, longest left-hand
 side first.
 """
 
@@ -284,32 +285,35 @@ class RewriteSystem:
             stack.append((want, self._head_steps(want)))
 
     def _left_multiply(self, letters: str, terms: dict) -> dict:
-        """NF(letters . terms) for a char-string -> coefficient map over
-        irreducible words: the letters act right to left through the memo,
-        and :meth:`_derive` computes each missing entry.  Each image is
-        added in place, as ``_add_scaled`` would, cancelled keys dropped."""
+        """NF(letters . terms) for a (chars, tail) -> coefficient map over
+        irreducible chars: the letters act right to left through the memo,
+        :meth:`_derive` computes each missing entry, and each tail, such as
+        a chain, passes through untouched.  Each image is added in place, as
+        ``_add_scaled`` would, cancelled keys dropped."""
         memo = self._action
         p = self.field.characteristic
         for x in reversed(letters):
-            out: dict[str, object] = {}
-            for v, c in terms.items():
+            out: dict[tuple, object] = {}
+            for (v, tail), c in terms.items():
                 image = memo.get(x + v)
                 if image is None:
                     image = self._derive(x + v)
                 for w, cw in image.items():
-                    s = out.get(w, 0) + c * cw
+                    key = (w, tail)
+                    s = out.get(key, 0) + c * cw
                     if p:
                         s %= p
                     if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
+                        out[key] = s
+                    elif key in out:
+                        del out[key]
             terms = out
         return terms
 
     def _nf_chars(self, chars: str) -> dict[str, object]:
         """Normal form of a single word as a char-string -> coefficient map."""
-        return self._left_multiply(chars, {"": self.field.coerce(1)})
+        return {w: c for (w, _tail), c in self._left_multiply(
+            chars, {("", ""): self.field.coerce(1)}).items()}
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """NF(f): exhaustive reduction; unique for complete systems."""

@@ -130,6 +130,20 @@ class TestNf:
         assert not out
         assert "eab(9)" in err and "<= 2" in err
 
+    @pytest.mark.parametrize("argv,letter,window", [
+        (("--m", "1"), "a1", "0..0 (--j 0, --m 1)"),
+        (("--m", "2"), "b2", "0..1 (--j 0, --m 2)"),
+        (("--j", "1", "--m", "2"), "a0", "1..1 (--j 1, --m 2)"),
+    ])
+    def test_letter_outside_window_rejected(self, capsys, argv, letter,
+                                            window):
+        code, out, err = run(capsys, "nf", "--p", "2", *argv,
+                             f"{letter}*b1 + b0")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: letter {letter} is outside the window of "
+                       f"indices {window}\n")
+
     def test_truncated_merge_past_bound_vanishes(self, capsys):
         code, out, _ = run(capsys, "nf", "--p", "3", "--m", "1",
                            "ea(1)*ea(1)*ea(1)")
@@ -571,9 +585,9 @@ def test_dump_shares_texts_between_matrices(cx21):
     matrices: a word labelling rows under two chains, char-0 Fractions
     equal to the int entries of another matrix, and two reports dumped one
     after the other."""
-    m, e = cx21.t0[0].word, Word("")
+    m, e = cx21.t0[0].word.chars, Word("").chars
     t1, t2 = cx21.t1[:2]
-    degree = m.degree + t1.degree
+    degree = Word(m).degree + t1.degree
     ints = GradedMatrix(degree, [(m, t1), (e, t2)], [(m, t2), (e, t1)],
                         [[(0, 1), (1, 2)], [(1, 1)]])
     fracs = GradedMatrix(degree, [(m, t2), (m, t1)], [(e, t2)],

@@ -179,7 +179,8 @@ class TestGrammar:
             parse_poly("1/0*ea(1)", field)
         assert "zero denominator" in str(err.value)
 
-    # one row per ParseError branch: text, field, message, position
+    # one row per ParseError branch: text, field (or a (field, prime) pair
+    # for an explicit prime), message, position
     @pytest.mark.parametrize("text,field,message,position", [
         ("", F2, "empty input", 0),
         ("  \t ", F2, "empty input", 0),
@@ -206,11 +207,14 @@ class TestGrammar:
          6),
         ("ea(0)", QQ, "divided power must be >= 1", 0),
         ("eab(2) + 3*eb(00)", F2, "divided power must be >= 1", 11),
+        ("a0", (F2, 4), "p must be prime, got 4", 0),
+        ("ea(1)*b01", (F2, 1), "p must be prime, got 1", 6),
     ])
     def test_parse_error_message_and_position(self, text, field, message,
                                               position):
+        field, prime = field if isinstance(field, tuple) else (field, None)
         with pytest.raises(ParseError) as err:
-            parse_poly(text, field)
+            parse_poly(text, field, prime=prime)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
 

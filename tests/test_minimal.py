@@ -37,12 +37,13 @@ def drop_t2_chain(monkeypatch, w):
 
 class TestRadicalMembership:
     def test_positive_weight_coefficient(self, cx21):
-        x = ModuleElement.basis(word(gen_a(0, 2)), cx21.e_chain, cx21.field)
+        x = ModuleElement.basis(word(gen_a(0, 2)).chars, cx21.e_chain,
+                                cx21.field)
         assert radical_membership(x)
 
     def test_scalar_coordinate(self, cx21):
         t = cx21.t1[0]
-        x = ModuleElement.basis(EMPTY_WORD, t, cx21.field)
+        x = ModuleElement.basis(EMPTY_WORD.chars, t, cx21.field)
         assert not radical_membership(x)
 
     def test_d0_images(self, cx21):
@@ -93,13 +94,13 @@ class TestD2Prime:
         sub = cx.chain(2, W2(("a", 1), ("b", 0), ("b", 0)))
         braid = cx.chain(1, W2(("b", 0), ("a", 0), ("b", 0), ("a", 0)))
         d2_src = cx.d_chain(2, src)
-        r = d2_src.coefficient(EMPTY_WORD, braid)
+        r = d2_src.coefficient((EMPTY_WORD.chars, braid))
         assert r == cx.field.coerce(-1)
         bracket = cx.d_chain(2, sub) \
-            + ModuleElement.basis(EMPTY_WORD, braid, cx.field)
+            + ModuleElement.basis(EMPTY_WORD.chars, braid, cx.field)
         assert radical_membership(bracket)
         expected = d2_src \
-            - ModuleElement.basis(EMPTY_WORD, braid, cx.field, r) \
+            - ModuleElement.basis(EMPTY_WORD.chars, braid, cx.field, r) \
             + bracket.scale(r)
         assert res.d2_prime(src) == expected
 

@@ -36,7 +36,12 @@ from u3plus.rewriting import (
     RewriteSystemError,
 )
 
-from conftest import rule_polynomial, system_for, system_from_polynomials
+from conftest import (
+    complex_for,
+    rule_polynomial,
+    system_for,
+    system_from_polynomials,
+)
 
 F2 = FieldSpec(2)
 A0, B0 = gen_a(0, 2), gen_b(0, 2)
@@ -214,7 +219,7 @@ class TestNormalForm:
             by_degree.setdefault(w.degree, []).append(w)
         # one homogeneous combination of irreducible words per degree, with
         # coefficients 1, 2, ..., p - 1, 1, ...
-        combos = [{w.chars: field.coerce(1 + i % (p - 1))
+        combos = [{(w.chars, ""): field.coerce(1 + i % (p - 1))
                    for i, w in enumerate(ws)} for ws in by_degree.values()]
         chars = [g.char for g in ref.alphabet]
         singles = [(x, terms) for x in chars for terms in combos]
@@ -222,9 +227,9 @@ class TestNormalForm:
                    for z in chars for terms in combos]
 
         def expected(letters, terms):
-            f = Polynomial({Word(v): c for v, c in terms.items()}, field)
+            f = Polynomial({Word(v): c for (v, _), c in terms.items()}, field)
             nf = ref.normal_form(Polynomial.monomial(Word(letters), field) * f)
-            return {w.chars: c for w, c in nf.items()}
+            return {(w.chars, ""): c for w, c in nf.items()}
 
         for cases in (singles, triples):
             system = small_groebner_basis(Window(p, 0, m))
@@ -234,7 +239,7 @@ class TestNormalForm:
                     system._left_multiply(letters[-1], terms)
                     middle_misses += any(
                         letters[1] + v not in system._action
-                        for v in expected(letters[-1], terms))
+                        for v, _ in expected(letters[-1], terms))
                 cold.append(system._left_multiply(letters, terms))
             assert cold == [expected(x, terms) for x, terms in cases]
             assert (middle_misses > 0) == (cases is triples)
@@ -243,10 +248,35 @@ class TestNormalForm:
             assert warm == cold
             assert len(system._action) == filled
             for (letters, terms), want in zip(cases, cold):
-                key = letters[-1] + next(iter(terms))
+                key = letters[-1] + next(iter(terms))[0]
                 value = system._action.pop(key)
                 assert system._left_multiply(letters, terms) == want
                 assert system._action[key] == value
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_letter_action_keeps_tails_apart(self, data):
+        """letters . terms on a (chars, tail) map, read tail by tail, is the
+        normal form of letters times that tail's polynomial, computed on a
+        fresh system; the tails are chains of every level."""
+        p, m = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+        cx = complex_for(p, m)
+        ref = small_groebner_basis(Window(p, 0, m))
+        field = ref.field
+        words = [w.chars for w in ref.irreducible_words(6)]
+        tails = [t for n in (-1, 0, 1, 2) for t in cx.chains(n)]
+        terms = data.draw(st.dictionaries(
+            st.tuples(st.sampled_from(words), st.sampled_from(tails)),
+            st.integers(1, p - 1), max_size=8))
+        letters = "".join(data.draw(st.lists(
+            st.sampled_from([g.char for g in ref.alphabet]), max_size=3)))
+        got = cx.system._left_multiply(letters, terms)
+        for t in {t for _w, t in terms} | {t for _w, t in got}:
+            f = Polynomial({Word(w): c for (w, tt), c in terms.items()
+                            if tt == t}, field)
+            nf = ref.normal_form(Polynomial.monomial(Word(letters), field) * f)
+            assert {w: c for (w, tt), c in got.items() if tt == t} == {
+                w.chars: c for w, c in nf.items()}, (letters, t)
 
     def test_derivation_uses_no_recursion(self):
         """The letter action derives missing entries on an explicit stack:
