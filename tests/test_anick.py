@@ -331,7 +331,7 @@ class TestChainSets:
         lambda cx, n: cx.chain(n, cx.t0[0].word),
         lambda cx, n: cx.basis(n, Degree(2, 2)),
         lambda cx, n: cx.matrix(n, Degree(2, 2)),
-        lambda cx, n: cx.jmap(n, cx.t0[0].word, cx.t0[0]),
+        lambda cx, n: cx.jmap(n, cx.t0[0].word.chars, cx.t0[0]),
     ], ids=["chains", "chain", "basis", "matrix", "jmap"])
     def test_level_out_of_range_is_typed(self, cx21, call, level):
         with pytest.raises(ChainError, match=f"level {level}; levels run "
