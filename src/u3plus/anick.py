@@ -16,7 +16,8 @@ builds:
   one would start a left-hand side where the recursion rules one out;
 * the free modules P_n on those chains, with K-basis m.t (m an irreducible
   word, t a chain), ordered through m.t -> mt; an element of P_n, a graded
-  basis label and a matrix label all key m.t as (m chars, t);
+  basis label and a matrix label all key m.t as (m chars, t chars), two
+  plain strings, since within one level a chain is fixed by its word;
 * the maps delta_n / j_n, both read off that one suffix, and the mutually
   recursive differentials d_n and splittings i_n:
 
@@ -38,11 +39,12 @@ builds:
   complex identities eps.d_0 = d_0.d_1 = d_1.d_2 = 0 are their products.
 
 Every image m.d_n(t) of a basis element, and m.f(t) for a supplied chain map
-f such as the surgered d'_2, is memoized on the complex, keyed by (n, t, f)
-and then by the word m, as one flat (m chars, chain) -> coefficient map;
-the empty word's entry, d_n(.t) or f(.t), is computed there once and read
-by :meth:`AnickComplex.d_chain`.  A missing image x m'.d_n(t) is the letter
-x acting on the memoized image of its suffix m'.t, one call of the system's
+f such as the surgered d'_2, is memoized on the complex, keyed by (n, t
+chars, f) and then by the word m, as one flat (m chars, t chars) ->
+coefficient map, so no memo key holds a :class:`Chain`; the empty word's
+entry, d_n(.t) or f(.t), is computed there once and read by
+:meth:`AnickComplex.d_chain`.  A missing image x m'.d_n(t) is the letter x
+acting on the memoized image of its suffix m'.t, one call of the system's
 letter action on every chain of that image at once, and the differentials,
 the splittings and the graded matrices all read the same images; a letter
 acts from the system's letter-action memo, computing only missing entries.
@@ -95,13 +97,6 @@ class Chain:
     word: Word
     tail: Optional[Chain] = dc_field(default=None, compare=False)
 
-    def __post_init__(self):
-        # chains key every memo, so hash once, on the fields equality reads
-        object.__setattr__(self, "_hash", hash((self.level, self.word.chars)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @property
     def degree(self) -> Degree:
         return self.word.degree
@@ -114,7 +109,7 @@ class Chain:
 
 
 class ModuleElement(LinearCombination):
-    """A combination of basis elements m.t of one P_n, keyed (m chars, t)."""
+    """A combination of basis elements m.t of P_n, keyed (m chars, t chars)."""
 
     __slots__ = ("level",)
 
@@ -130,7 +125,7 @@ class ModuleElement(LinearCombination):
     @classmethod
     def basis(cls, m: str, chain: Chain, field: FieldSpec,
               coeff=1) -> "ModuleElement":
-        return cls(chain.level, {(m, chain): coeff}, field)
+        return cls(chain.level, {(m, chain.word.chars): coeff}, field)
 
     def _like(self, terms: dict) -> "ModuleElement":
         return ModuleElement(self.level, terms, self.field, _clean=True)
@@ -149,10 +144,10 @@ class ModuleElement(LinearCombination):
         parts = []
         for (m, t), c in sorted(
                 self.terms.items(),
-                key=lambda kv: (str(kv[0][1].word), str(Word(kv[0][0])))):
+                key=lambda kv: (str(Word(kv[0][1])), str(Word(kv[0][0])))):
             coeff = "" if c == 1 else f"{c}*"
             head = str(Word(m)) if m else ""
-            tail = str(t.word) if t.level >= 0 else "e"
+            tail = str(Word(t)) if self.level >= 0 else "e"
             parts.append(f"{coeff}{head}.{tail}")
         return " + ".join(parts)
 
@@ -173,8 +168,8 @@ class GradedMatrix:
     """
 
     degree: Degree
-    row_labels: list[tuple[str, Chain]]
-    col_labels: list[tuple[str, Chain]]
+    row_labels: list[tuple[str, str]]
+    col_labels: list[tuple[str, str]]
     entries: list[list[tuple[int, object]]]
 
     def rank(self, field: FieldSpec) -> int:
@@ -183,8 +178,8 @@ class GradedMatrix:
     def to_json(self) -> dict:
         return {
             "degree": [self.degree.alpha, self.degree.beta],
-            "rows": [[str(Word(m)), str(t.word)] for m, t in self.row_labels],
-            "cols": [[str(Word(m)), str(t.word)] for m, t in self.col_labels],
+            "rows": [[str(Word(m)), str(Word(t))] for m, t in self.row_labels],
+            "cols": [[str(Word(m)), str(Word(t))] for m, t in self.col_labels],
             "entries": [[i, j, str(x)] for i, row in enumerate(self.entries)
                         for j, x in row],
         }
@@ -231,7 +226,7 @@ def _product_failures(name: str, left: Iterable, right: GradedMatrix,
             for k, x in right.entries[j]:
                 acc[k] = acc.get(k, 0) + c * x
         nonzero.update(k for k, x in acc.items() if coerce(x))
-    return [(name, str(Word(m)), str(t.word))
+    return [(name, str(Word(m)), str(Word(t)))
             for m, t in (right.col_labels[k] for k in sorted(nonzero))]
 
 
@@ -289,18 +284,18 @@ class AnickComplex:
         for n in range(3):
             self._by_chars[n] = self._build_level(n)
         self.t0, self.t1, self.t2 = (self.chains(n) for n in range(3))
-        # (n, chain, dmap) -> m chars -> the terms of m.d_n(t) or m.dmap(t);
+        # (n, t chars, dmap) -> m chars -> the terms of m.d_n(t) or m.dmap(t);
         # the key "" holds the image of .t itself
         self._images: dict[tuple, dict[str, dict]] = {}
         self._words_bound = -1
         # degree -> (rank string, chars) for each irreducible word of it
         self._words_by_degree: dict[Degree, list[tuple[str, str]]] = {}
-        # chain set -> (alpha, beta) -> (rank string, chain) of its chains
+        # chain set chars -> (alpha, beta) -> (rank string, chain chars)
         self._chain_groups: dict[tuple, dict[tuple, list]] = {}
-        # the bases of one degree, by (level, chain set): the matrices that
-        # meet at a basis share its list
+        # the bases of one degree, by (level, chain set chars): the matrices
+        # that meet at a basis share its list
         self._bases_degree: Optional[Degree] = None
-        self._bases: dict[tuple, list[tuple[str, Chain]]] = {}
+        self._bases: dict[tuple, list[tuple[str, str]]] = {}
 
     # -- chain sets ---------------------------------------------------------
 
@@ -368,23 +363,24 @@ class AnickComplex:
         self._words_by_degree = by_degree
         self._words_bound = norm_bound
 
-    def pair_key(self, m: str, chain: Chain):
+    def pair_key(self, m: str, t: str):
         """Basis order on m.t via the word mt, which determines m.t within
         one level: mt has at most one chain suffix there."""
-        return self.order.key(m + chain.word.chars)
+        return self.order.key(m + t)
 
     def basis(self, level: int, degree: Degree,
-              chain_set: Optional[Sequence[Chain]] = None
-              ) -> list[tuple[str, Chain]]:
-        """The K-basis of (P_level)_degree as (m chars, t) keys, sorted
-        descending by :meth:`pair_key`.
+              chain_set: Optional[Iterable[Chain]] = None
+              ) -> list[tuple[str, str]]:
+        """The K-basis of (P_level)_degree as (m chars, t chars) keys,
+        sorted descending by :meth:`pair_key`.
 
         The bases of one degree are kept until a basis of another degree is
         asked for, so the matrices that meet at one basis share its list.
         """
         if degree != self._bases_degree:
             self._bases_degree, self._bases = degree, {}
-        chains = self.chains(level) if chain_set is None else tuple(chain_set)
+        chains = tuple(t.word.chars for t in (
+            self._level(level).values() if chain_set is None else chain_set))
         out = self._bases.get((level, chains))
         if out is not None:
             return out
@@ -393,13 +389,13 @@ class AnickComplex:
         if groups is None:
             groups = self._chain_groups[chains] = {}
             for t in chains:
-                groups.setdefault(tuple(t.degree), []).append(
-                    (t.word.chars.translate(self._rank_table), t))
+                groups.setdefault(tuple(Word(t).degree), []).append(
+                    (t.translate(self._rank_table), t))
         words = self._words_by_degree
         alpha, beta = degree
         # every mt of one degree has the same weight, so pair_key compares
         # the ranks of the letters of mt, and those rank strings differ
-        keyed: dict[str, tuple[str, Chain]] = {}
+        keyed: dict[str, tuple[str, str]] = {}
         for (ta, tb), group in groups.items():
             ranked = words.get((alpha - ta, beta - tb))
             if ranked:
@@ -430,29 +426,29 @@ class AnickComplex:
             raise ValueError(f"no delta_{n} on {chain!r}")
         u = chain.word.chars[:len(chain.word.chars) - len(tail.word.chars)]
         return ModuleElement(n - 1, self.system._left_multiply(
-            u, {("", tail): self.field.coerce(1)}), self.field, _clean=True)
+            u, {("", tail.word.chars): self.field.coerce(1)}), self.field,
+            _clean=True)
 
-    def jmap(self, n: int, m: str, chain: Chain) -> Optional[ModuleElement]:
-        """j_n on the basis element m.(chain); None encodes 0.
+    def jmap(self, n: int, m: str, t: str) -> Optional[ModuleElement]:
+        """j_n on the basis element m.t (chars m and t); None encodes 0.
 
         j_n(m.t) = u.vt when m = uv and vt is an n-chain (its tail is t).
         A word has at most one n-chain suffix, so the first found is it.
         """
         lookup = self._level(n)
         for i in range(len(m), -1, -1):
-            hit = lookup.get(m[i:] + chain.word.chars)
-            if hit is not None:
-                return ModuleElement.basis(m[:i], hit, self.field)
+            if m[i:] + t in lookup:
+                return ModuleElement(n, {(m[:i], m[i:] + t): 1}, self.field)
         return None
 
     def d_chain(self, n: int, chain: Chain,
                 dmap: Optional[Callable[[Chain], ModuleElement]] = None
                 ) -> ModuleElement:
         """d_n(.t), or dmap(.t): the empty word's entry of the image memo."""
-        return ModuleElement(n - 1, self._image(n, chain, "", dmap),
-                             self.field, _clean=True)
+        return ModuleElement(n - 1, self._image(
+            n, chain.word.chars, "", dmap), self.field, _clean=True)
 
-    def _image(self, n: int, chain: Chain, m: str,
+    def _image(self, n: int, t: str, m: str,
                dmap: Optional[Callable[[Chain], ModuleElement]] = None
                ) -> dict:
         """The terms of m.d_n(t), or of m.dmap(t); memoized, read only.
@@ -461,9 +457,12 @@ class AnickComplex:
         missing image x m'.t is the letter x acting on the image of m'.t;
         the memo fills from the longest suffix of m it already holds.
         """
-        key = (n, chain, dmap)
+        key = (n, t, dmap)
         images = self._images.get(key)
         if images is None:
+            chain = self._level(n).get(t)
+            if chain is None:
+                raise ChainError(f"no {n}-chain {Word(t)} in the complex")
             base = self.delta(n, chain) if dmap is None else dmap(chain)
             if dmap is None and n > 0:
                 base = base - self.splitting(n - 1, self.d(n - 1, base))
@@ -512,14 +511,15 @@ class AnickComplex:
             lead = self.pair_key(m, t)
             if previous is not None and lead >= previous:
                 raise SplittingError(
-                    f"leading term {Word(m)}{t} is not below the previous "
-                    f"step's leading term; i_{n} does not descend")
+                    f"leading term {Word(m)}{self._level(n - 1)[t]} is not "
+                    f"below the previous step's leading term; i_{n} does "
+                    f"not descend")
             previous = lead
             image = self.jmap(n, m, t)
             if image is None:
                 raise SplittingError(
-                    f"leading term {Word(m)}{t} admits no chain "
-                    f"factorization; input is not a boundary")
+                    f"leading term {Word(m)}{self._level(n - 1)[t]} admits "
+                    f"no chain factorization; input is not a boundary")
             image = image.scale(c)
             result = result + image
             work = work - self.d(n, image)

@@ -174,7 +174,7 @@ def _dump(payload: dict, fh) -> None:
         return
     quote = encode_basestring_ascii
     texts = (_Texts(lambda chars: _WORD % quote(str(Word(chars)))),
-             _Texts(lambda t: _CHAIN % quote(str(t.word))),
+             _Texts(lambda t: _CHAIN % quote(str(Word(t)))),
              _Texts(lambda x: _COEFF % quote(str(x))))
     lead = "{\n  "
     for key in sorted(payload):

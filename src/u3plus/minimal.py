@@ -186,11 +186,10 @@ class MinimalResolution:
         self.checked_t2 = tuple(c for c in self.t2_prime_ext
                                 if c.degree.norm <= deg_bound
                                 or self._max_index(c) <= max_idx)
-        self._braid_chain = {}
-        for k in self.ext_window.indices:
-            chain = self.cx.chain(1, _braid_word(self.ext_window, k))
-            if chain is not None:
-                self._braid_chain[k] = chain
+        braids = {k: _braid_word(self.ext_window, k)
+                  for k in self.ext_window.indices}
+        self._braid_chain = {k: w.chars for k, w in braids.items()
+                             if self.cx.chain(1, w) is not None}
         self._substitute_chain = {}
         for k in range(self.ext_window.j, self.ext_window.m - 1):
             self._substitute_chain[k] = _t2_chain(
@@ -365,12 +364,12 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
             chain = _t2_chain(cx, src_word, ChainError,
                               f"the lemma {name} needs it")
             image = cx.d_chain(2, chain)
-            got = image.coefficient(("", Chain(1, braid)))
+            got = image.coefficient(("", braid.chars))
             checks.append(CoefficientCheck(
                 f"{name} at .(b{k}*a{k})^p", str(expected), str(got),
                 field.coerce(got) == expected))
             ab_next = Word.of([ext.a(k + 1), ext.b(k + 1)])
-            got = image.coefficient(("", Chain(1, ab_next)))
+            got = image.coefficient(("", ab_next.chars))
             checks.append(CoefficientCheck(
                 f"{name} at .a{k + 1}*b{k + 1}", "0", str(got), got == 0))
 
@@ -378,7 +377,7 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
     key = cx.order.key
     for t1, t2 in sorted(cx.matches_w(), key=lambda pair: key(pair[1].word)):
         if key(t1.word) > key(t2.word):
-            got = cx.d_chain(2, t2).coefficient(("", t1))
+            got = cx.d_chain(2, t2).coefficient(("", t1.word.chars))
             checks.append(CoefficientCheck(
                 f"d2(.{t2.word}) at larger .{t1.word}", "0", str(got),
                 got == 0))

@@ -288,8 +288,8 @@ class RewriteSystem:
         """NF(letters . terms) for a (chars, tail) -> coefficient map over
         irreducible chars: the letters act right to left through the memo,
         :meth:`_derive` computes each missing entry, and each tail, such as
-        a chain, passes through untouched.  Each image is added in place, as
-        ``_add_scaled`` would, cancelled keys dropped."""
+        a chain's chars, passes through untouched.  Each image is added in
+        place, as ``_add_scaled`` would, cancelled keys dropped."""
         memo = self._action
         p = self.field.characteristic
         for x in reversed(letters):

@@ -233,7 +233,7 @@ def test_c05_boundary_coefficients_as_stated(p):
 
     def coeff(image, target_word):
         for (m, t), c in image.items():
-            if m == EMPTY_WORD.chars and t.word == target_word:
+            if m == EMPTY_WORD.chars and t == target_word.chars:
                 return c
         return 0
 

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -409,12 +410,12 @@ class TestDeltaAndJ:
     def test_j1_no_factorization(self, cx21):
         m = W(2, ("a", 0), ("b", 0))
         x = cx21.chain(0, word(a(0, 2)))
-        assert cx21.jmap(1, m.chars, x) is None
+        assert cx21.jmap(1, m.chars, x.word.chars) is None
 
     def test_j1_finds_the_rule_suffix(self, cx22):
         m = W(2, ("b", 0), ("a", 1))
         x = cx22.chain(0, word(b(0, 2)))
-        got = cx22.jmap(1, m.chars, x)
+        got = cx22.jmap(1, m.chars, x.word.chars)
         chain = cx22.chain(1, W(2, ("a", 1), ("b", 0)))
         assert got == ModuleElement.basis(word(b(0, 2)).chars, chain,
                                           cx22.field)
@@ -452,10 +453,10 @@ class TestDifferentials:
         xa0 = cx.chain(0, word(a(0, 3)))
         xa1 = cx.chain(0, word(a(1, 3)))
         xb0 = cx.chain(0, word(b(0, 3)))
-        assert got.coefficient((word(a(1, 3)).chars, xb0)) == 1
-        assert got.coefficient((word(b(0, 3)).chars, xa1)) == 2
+        assert got.coefficient((word(a(1, 3)).chars, xb0.word.chars)) == 1
+        assert got.coefficient((word(b(0, 3)).chars, xa1.word.chars)) == 2
         assert got.coefficient(
-            (W(3, ("a", 0), ("a", 0), ("b", 0)).chars, xa0)) == 2
+            (W(3, ("a", 0), ("a", 0), ("b", 0)).chars, xa0.word.chars)) == 2
         assert len(got.terms) == 3
 
     def test_d2_on_substitute_source(self, cx22):
@@ -480,13 +481,23 @@ class TestDifferentials:
                 delta = cx.delta(level, t)
                 assert next(iter(delta.terms)) == (mm, tt)
 
+    def test_chain_the_complex_lacks_is_named(self, cx21):
+        # a letter is a 0-chain, not a 1-chain of this window
+        x = cx21.t0[0]
+        missing = re.escape(f"no 1-chain {x.word} in the complex")
+        with pytest.raises(ChainError, match=missing):
+            cx21.d_chain(1, x)
+        f = ModuleElement(1, {("", x.word.chars): 1}, cx21.field)
+        with pytest.raises(ChainError, match=missing):
+            cx21.d(1, f)
+
     @pytest.mark.parametrize("p,m", [(2, 2), (3, 1)])
     def test_differentials_homogeneous(self, p, m):
         cx = complex_for(p, m)
         for level in (0, 1, 2):
             for t in cx.chains(level):
                 image = cx.d_chain(level, t)
-                assert {Word(w).degree + tt.degree
+                assert {Word(w).degree + Word(tt).degree
                         for w, tt in image.terms} <= {t.degree}
 
 
@@ -547,7 +558,7 @@ class TestSplitting:
 
         monkeypatch.setattr(cx, "jmap", doubled)
         with pytest.raises(SplittingError, match=re.escape(
-                f"leading term {Word(m)}.{lead.word} is not below")):
+                f"leading term {Word(m)}.{Word(lead)} is not below")):
             cx.splitting(1, f)
         assert 1 <= len(calls) <= 2
 
@@ -587,7 +598,7 @@ class TestComplexAndExactness:
                 mat.entries[rows[0]] = sorted(
                     (j, c) for j, c in row.items() if c)
                 m, t = mat.col_labels[0]
-                corrupted.append((name, str(Word(m)), str(t.word)))
+                corrupted.append((name, str(Word(m)), str(Word(t))))
             return mat
 
         monkeypatch.setattr(cx, "matrix", corrupting)
@@ -727,8 +738,8 @@ def test_memoized_images_match_action(p, bound):
                 if m.degree.norm + t.degree.norm > bound:
                     continue
                 # longest words first, so their suffixes fill on the way
-                got = ModuleElement(n - 1, cx._image(n, t, m.chars),
-                                    cx.field)
+                got = ModuleElement(n - 1, cx._image(n, t.word.chars,
+                                                     m.chars), cx.field)
                 assert got == ref.act(m.chars, ref.d_chain(n, t)), (n, t, m)
                 checked += 1
     assert checked
@@ -748,14 +759,15 @@ def test_memoized_chain_map_images_match_action(p, bound):
         for m in words:
             if m.degree.norm + t.degree.norm > bound:
                 continue
-            got = ModuleElement(1, cx._image(2, t, m.chars), cx.field)
-            assert got == cx.act(m.chars, cx.d_chain(2, t)), (t, m)
-            got = ModuleElement(1, cx._image(2, t, m.chars, res._surgery),
+            got = ModuleElement(1, cx._image(2, t.word.chars, m.chars),
                                 cx.field)
+            assert got == cx.act(m.chars, cx.d_chain(2, t)), (t, m)
+            got = ModuleElement(1, cx._image(2, t.word.chars, m.chars,
+                                             res._surgery), cx.field)
             assert got == cx.act(m.chars, res.d2_prime(t)), (t, m)
         # d'_2(.t) is the empty word's entry of the same memo
         assert res.d2_prime(t) == ModuleElement(
-            1, cx._image(2, t, "", res._surgery), cx.field)
+            1, cx._image(2, t.word.chars, "", res._surgery), cx.field)
     assert surgered
 
 
@@ -778,13 +790,13 @@ def test_image_costs_one_letter_action_per_letter(monkeypatch, p, m):
         for t in cx.chains(n):
             base = cx.d_chain(n, t)
             spans += len({tt for _w, tt in base.terms}) > 1
-            images = cx._images[(n, t, None)]
+            images = cx._images[(n, t.word.chars, None)]
             monkeypatch.setattr(cx.system, "_left_multiply", counted)
             for mm in words:
                 for suffix in [k for k in images if k]:
                     del images[suffix]
                 calls.clear()
-                cx._image(n, t, mm)
+                cx._image(n, t.word.chars, mm)
                 assert len(calls) == len(mm), (n, t, mm)
             monkeypatch.undo()
     assert spans
@@ -802,11 +814,11 @@ def test_letter_action_stores_no_zero_coefficient(p, m):
     for u in rng.choices(words, k=40):
         for n in (0, 1, 2):
             for t in cx.chains(n):
-                cx._image(n, t, u.chars)
+                cx._image(n, t.word.chars, u.chars)
         for t in res.t2_prime_ext:
             # the surgery reaches the braids of weight up to the bound
             if t.degree.norm <= 8:
-                cx._image(2, t, u.chars, res._surgery)
+                cx._image(2, t.word.chars, u.chars, res._surgery)
         cx.system._nf_chars(rng.choice(words).chars + u.chars)
     # the terms of every stored image, one map per chain it spans
     images = [{w: c for (w, tt), c in terms.items() if tt == t}
@@ -816,6 +828,24 @@ def test_letter_action_stores_no_zero_coefficient(p, m):
     for values in (images, actions):
         assert values and all(all(terms.values()) for terms in values)
     assert all(images)
+
+
+def test_module_keys_are_two_strings():
+    """A basis element m.t is keyed (m chars, t chars) in basis labels,
+    in ModuleElement.basis and in the image memo, whose keys then hold no
+    object the garbage collector tracks."""
+    cx = AnickComplex(small_groebner_basis(Window(3, 0, 1)))
+    reports = cx.exactness_check(12)
+    gc.collect()
+    keys = [key for by_word in cx._images.values()
+            for terms in by_word.values() for key in terms]
+    assert keys and not any(gc.is_tracked(key) for key in keys)
+    labels = [label for r in reports for mat in (r.d1, r.d2)
+              for label in mat.row_labels + mat.col_labels]
+    labels += cx.basis(1, reports[-1].degree)
+    labels += ModuleElement.basis("", cx.t1[0], cx.field).terms
+    assert labels and all(type(m) is str and type(t) is str
+                          for m, t in labels)
 
 
 @pytest.mark.parametrize("p,m,bound", [(2, 1, 8), (3, 1, 12), (2, 2, 10)])
@@ -831,7 +861,8 @@ def test_basis_is_sorted_by_pair_key(p, m, bound):
         for level, primed in ((-1, None), (0, None), (1, t1p), (2, t2p)):
             for chains in {None, primed}:
                 pool = cx.chains(level) if chains is None else chains
-                want = sorted(((w.chars, t) for t in pool for w in words
+                want = sorted(((w.chars, t.word.chars) for t in pool
+                               for w in words
                                if w.degree + t.degree == degree),
                               key=lambda mt: cx.pair_key(*mt), reverse=True)
                 assert cx.basis(level, degree, chains) == want

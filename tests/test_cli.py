@@ -586,8 +586,8 @@ def test_dump_shares_texts_between_matrices(cx21):
     equal to the int entries of another matrix, and two reports dumped one
     after the other."""
     m, e = cx21.t0[0].word.chars, Word("").chars
-    t1, t2 = cx21.t1[:2]
-    degree = Word(m).degree + t1.degree
+    t1, t2 = (t.word.chars for t in cx21.t1[:2])
+    degree = Word(m + t1).degree
     ints = GradedMatrix(degree, [(m, t1), (e, t2)], [(m, t2), (e, t1)],
                         [[(0, 1), (1, 2)], [(1, 1)]])
     fracs = GradedMatrix(degree, [(m, t2), (m, t1)], [(e, t2)],

@@ -94,7 +94,7 @@ class TestD2Prime:
         sub = cx.chain(2, W2(("a", 1), ("b", 0), ("b", 0)))
         braid = cx.chain(1, W2(("b", 0), ("a", 0), ("b", 0), ("a", 0)))
         d2_src = cx.d_chain(2, src)
-        r = d2_src.coefficient((EMPTY_WORD.chars, braid))
+        r = d2_src.coefficient((EMPTY_WORD.chars, braid.word.chars))
         assert r == cx.field.coerce(-1)
         bracket = cx.d_chain(2, sub) \
             + ModuleElement.basis(EMPTY_WORD.chars, braid, cx.field)
