@@ -63,7 +63,6 @@ from .kostant import (
 )
 from .anick import (
     AnickComplex,
-    Chain,
     GradedMatrix,
     ModuleElement,
 )

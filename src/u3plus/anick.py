@@ -13,11 +13,13 @@ builds:
   overlaps l and no other one lies in u.l without its last letter.  A word
   has at most one suffix in T_n: two would be nested, yet T_0 is letters,
   T_1 is an antichain (the basis is reduced), and a 2-chain ending another
-  one would start a left-hand side where the recursion rules one out;
+  one would start a left-hand side where the recursion rules one out.
+  Within one level a chain is fixed by its word, so a chain is its word's
+  chars, a plain string ("" for the level -1 chain), and the complex keeps
+  one map per level from each chain's chars to its tail's chars;
 * the free modules P_n on those chains, with K-basis m.t (m an irreducible
   word, t a chain), ordered through m.t -> mt; an element of P_n, a graded
-  basis label and a matrix label all key m.t as (m chars, t chars), two
-  plain strings, since within one level a chain is fixed by its word;
+  basis label and a matrix label all key m.t as (m chars, t chars);
 * the maps delta_n / j_n, both read off that one suffix, and the mutually
   recursive differentials d_n and splittings i_n:
 
@@ -39,15 +41,15 @@ builds:
   complex identities eps.d_0 = d_0.d_1 = d_1.d_2 = 0 are their products.
 
 Every image m.d_n(t) of a basis element, and m.f(t) for a supplied chain map
-f such as the surgered d'_2, is memoized on the complex, keyed by (n, t
-chars, f) and then by the word m, as one flat (m chars, t chars) ->
-coefficient map, so no memo key holds a :class:`Chain`; the empty word's
-entry, d_n(.t) or f(.t), is computed there once and read by
-:meth:`AnickComplex.d_chain`.  A missing image x m'.d_n(t) is the letter x
-acting on the memoized image of its suffix m'.t, one call of the system's
-letter action on every chain of that image at once, and the differentials,
-the splittings and the graded matrices all read the same images; a letter
-acts from the system's letter-action memo, computing only missing entries.
+f such as the surgered d'_2, is memoized on the complex, keyed by (n, t,
+f) and then by the word m, as one flat (m chars, t chars) -> coefficient
+map; the empty word's entry, d_n(.t) or f(.t), is computed there once and
+read by :meth:`AnickComplex.d_chain`.  A missing image x m'.d_n(t) is the
+letter x acting on the memoized image of its suffix m'.t, one call of the
+system's letter action on every chain of that image at once, and the
+differentials, the splittings and the graded matrices all read the same
+images; a letter acts from the system's letter-action memo, computing only
+missing entries.
 
 A graded basis is sorted on the words mt with each letter translated to
 its rank, made once per word and once per chain, and the bases of the
@@ -65,7 +67,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .free_algebra import (
     Degree,
-    EMPTY_WORD,
     FieldSpec,
     FreeAlgebraError,
     LinearCombination,
@@ -77,35 +78,17 @@ from .rewriting import RewriteSystem
 
 
 class ChainError(FreeAlgebraError):
-    """Chain-set construction violated a structural assumption."""
+    """Chain-set construction violated a structural assumption, or a chain
+    argument is not a chain of its level."""
 
 
 class SplittingError(FreeAlgebraError):
     """The contracting homotopy failed: input not in the expected image."""
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A module generator .t at one level of the resolution.
-
-    An n-chain with n >= 0 is a word u.c ending in its tail c, the one
-    (n-1)-chain that is a suffix of it; the level -1 chain has no tail.
-    Level and word determine the tail, so equality ignores it.
-    """
-
-    level: int
-    word: Word
-    tail: Optional[Chain] = dc_field(default=None, compare=False)
-
-    @property
-    def degree(self) -> Degree:
-        return self.word.degree
-
-    def __str__(self) -> str:
-        return f".{self.word}" if self.level >= 0 else ".e"
-
-    def __repr__(self) -> str:
-        return f"Chain(level={self.level}, {self.word})"
+def _chain_text(t: str) -> str:
+    """The text .w of the chain with chars t; the level -1 chain is .e."""
+    return f".{Word(t)}" if t else ".e"
 
 
 class ModuleElement(LinearCombination):
@@ -121,11 +104,6 @@ class ModuleElement(LinearCombination):
     @classmethod
     def zero(cls, level: int, field: FieldSpec) -> "ModuleElement":
         return cls(level, {}, field, _clean=True)
-
-    @classmethod
-    def basis(cls, m: str, chain: Chain, field: FieldSpec,
-              coeff=1) -> "ModuleElement":
-        return cls(chain.level, {(m, chain.word.chars): coeff}, field)
 
     def _like(self, terms: dict) -> "ModuleElement":
         return ModuleElement(self.level, terms, self.field, _clean=True)
@@ -147,8 +125,7 @@ class ModuleElement(LinearCombination):
                 key=lambda kv: (str(Word(kv[0][1])), str(Word(kv[0][0])))):
             coeff = "" if c == 1 else f"{c}*"
             head = str(Word(m)) if m else ""
-            tail = str(Word(t)) if self.level >= 0 else "e"
-            parts.append(f"{coeff}{head}.{tail}")
+            parts.append(f"{coeff}{head}{_chain_text(t)}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -279,12 +256,12 @@ class AnickComplex:
         self._rank_table = {ord(g.char): i
                             for i, g in enumerate(self.order.ranking)}
         self.field = system.field
-        self.e_chain = Chain(-1, EMPTY_WORD)
-        self._by_chars: dict[int, dict[str, Chain]] = {-1: {"": self.e_chain}}
+        # level -> chain chars -> tail chars; the level -1 chain has no tail
+        self._tails: dict[int, dict[str, Optional[str]]] = {-1: {"": None}}
         for n in range(3):
-            self._by_chars[n] = self._build_level(n)
+            self._tails[n] = self._build_level(n)
         self.t0, self.t1, self.t2 = (self.chains(n) for n in range(3))
-        # (n, t chars, dmap) -> m chars -> the terms of m.d_n(t) or m.dmap(t);
+        # (n, t, dmap) -> m chars -> the terms of m.d_n(t) or m.dmap(t);
         # the key "" holds the image of .t itself
         self._images: dict[tuple, dict[str, dict]] = {}
         self._words_bound = -1
@@ -299,9 +276,9 @@ class AnickComplex:
 
     # -- chain sets ---------------------------------------------------------
 
-    def _build_level(self, n: int) -> dict[str, Chain]:
-        """The n-chains, by word, from the (n-1)-chains by the recursion of
-        the module docstring; the 0-chains are the letters.
+    def _build_level(self, n: int) -> dict[str, str]:
+        """The n-chains with their tails, from the (n-1)-chains by the
+        recursion of the module docstring; the 0-chains are the letters.
 
         A lhs that starts u.h at position 0 and ends inside h is u.s with s
         a nonempty prefix of h, so the candidates u are read off a map from
@@ -310,45 +287,41 @@ class AnickComplex:
         """
         system = self.system
         if n == 0:
-            return {g.char: Chain(0, Word(g.char), self.e_chain)
-                    for g in system.alphabet}
+            return {g.char: "" for g in system.alphabet}
         prefixes: dict[str, list[str]] = {}
         for lhs in system._rule_index:
             for k in range(len(lhs)):
                 prefixes.setdefault(lhs[k:], []).append(lhs[:k])
         found = []
-        for c in self._by_chars[n - 1].values():
-            h = c.word.chars[:len(c.word.chars) - len(c.tail.word.chars)]
+        for c, tail in self._tails[n - 1].items():
+            h = c[:len(c) - len(tail)]
             for k in range(1, len(h) + 1):
                 for u in prefixes.get(h[:k], ()):
                     uh = u + h
                     if all(system._rule_at(uh, pos) is None
                            for pos in range(1, len(u))):
-                        found.append(Chain(n, Word(u + c.word.chars), c))
-        found.sort(key=lambda t: self.order.key(t.word))
-        return {t.word.chars: t for t in found}
+                        found.append((u + c, c))
+        found.sort(key=lambda pair: self.order.key(pair[0]))
+        return dict(found)
 
-    def _level(self, level: int) -> dict[str, Chain]:
-        """The chains of one level, by word."""
-        chains = self._by_chars.get(level)
-        if chains is None:
+    def _level(self, level: int) -> dict[str, Optional[str]]:
+        """The chains of one level, each mapped to its tail."""
+        tails = self._tails.get(level)
+        if tails is None:
             raise ChainError(
                 f"no chains at level {level}; levels run from -1 to 2")
-        return chains
+        return tails
 
-    def chains(self, level: int) -> tuple[Chain, ...]:
-        return tuple(self._level(level).values())
+    def chains(self, level: int) -> tuple[str, ...]:
+        return tuple(self._level(level))
 
-    def chain(self, level: int, w: Word) -> Optional[Chain]:
-        """The chain of the given level with word w, or None."""
-        return self._level(level).get(w.chars)
-
-    def matches_w(self) -> list[tuple[Chain, Chain]]:
+    def matches_w(self) -> list[tuple[str, str]]:
         """All (t1, t2) chain pairs of equal weight."""
+        degree = {t: Word(t).degree for t in self.t1 + self.t2}
+        key = self.order.key
         out = [(c1, c2) for c1 in self.t1 for c2 in self.t2
-               if c1.degree == c2.degree]
-        out.sort(key=lambda pair: (self.order.key(pair[0].word),
-                                   self.order.key(pair[1].word)))
+               if degree[c1] == degree[c2]]
+        out.sort(key=lambda pair: (key(pair[0]), key(pair[1])))
         return out
 
     # -- irreducible words, graded bases -------------------------------------
@@ -369,7 +342,7 @@ class AnickComplex:
         return self.order.key(m + t)
 
     def basis(self, level: int, degree: Degree,
-              chain_set: Optional[Iterable[Chain]] = None
+              chain_set: Optional[Iterable[str]] = None
               ) -> list[tuple[str, str]]:
         """The K-basis of (P_level)_degree as (m chars, t chars) keys,
         sorted descending by :meth:`pair_key`.
@@ -379,8 +352,7 @@ class AnickComplex:
         """
         if degree != self._bases_degree:
             self._bases_degree, self._bases = degree, {}
-        chains = tuple(t.word.chars for t in (
-            self._level(level).values() if chain_set is None else chain_set))
+        chains = tuple(self._level(level) if chain_set is None else chain_set)
         out = self._bases.get((level, chains))
         if out is not None:
             return out
@@ -419,15 +391,15 @@ class AnickComplex:
             out = out + self.act(w.chars, elt).scale(c)
         return out
 
-    def delta(self, n: int, chain: Chain) -> ModuleElement:
+    def delta(self, n: int, t: str) -> ModuleElement:
         """delta_n(.uc) = NF(u).c, where c is the tail of the n-chain uc."""
-        tail = chain.tail
-        if chain.level != n or tail is None:
-            raise ValueError(f"no delta_{n} on {chain!r}")
-        u = chain.word.chars[:len(chain.word.chars) - len(tail.word.chars)]
+        tail = self._level(n).get(t)
+        if tail is None:
+            raise ChainError(f"no delta_{n} on {_chain_text(t)}: " + (
+                f"not a {n}-chain" if n >= 0 else "it has no tail"))
         return ModuleElement(n - 1, self.system._left_multiply(
-            u, {("", tail.word.chars): self.field.coerce(1)}), self.field,
-            _clean=True)
+            t[:len(t) - len(tail)], {("", tail): self.field.coerce(1)}),
+            self.field, _clean=True)
 
     def jmap(self, n: int, m: str, t: str) -> Optional[ModuleElement]:
         """j_n on the basis element m.t (chars m and t); None encodes 0.
@@ -441,15 +413,15 @@ class AnickComplex:
                 return ModuleElement(n, {(m[:i], m[i:] + t): 1}, self.field)
         return None
 
-    def d_chain(self, n: int, chain: Chain,
-                dmap: Optional[Callable[[Chain], ModuleElement]] = None
+    def d_chain(self, n: int, t: str,
+                dmap: Optional[Callable[[str], ModuleElement]] = None
                 ) -> ModuleElement:
         """d_n(.t), or dmap(.t): the empty word's entry of the image memo."""
-        return ModuleElement(n - 1, self._image(
-            n, chain.word.chars, "", dmap), self.field, _clean=True)
+        return ModuleElement(n - 1, self._image(n, t, "", dmap), self.field,
+                             _clean=True)
 
     def _image(self, n: int, t: str, m: str,
-               dmap: Optional[Callable[[Chain], ModuleElement]] = None
+               dmap: Optional[Callable[[str], ModuleElement]] = None
                ) -> dict:
         """The terms of m.d_n(t), or of m.dmap(t); memoized, read only.
 
@@ -460,10 +432,9 @@ class AnickComplex:
         key = (n, t, dmap)
         images = self._images.get(key)
         if images is None:
-            chain = self._level(n).get(t)
-            if chain is None:
+            if t not in self._level(n):
                 raise ChainError(f"no {n}-chain {Word(t)} in the complex")
-            base = self.delta(n, chain) if dmap is None else dmap(chain)
+            base = self.delta(n, t) if dmap is None else dmap(t)
             if dmap is None and n > 0:
                 base = base - self.splitting(n - 1, self.d(n - 1, base))
             images = self._images[key] = {"": base.terms}
@@ -511,14 +482,14 @@ class AnickComplex:
             lead = self.pair_key(m, t)
             if previous is not None and lead >= previous:
                 raise SplittingError(
-                    f"leading term {Word(m)}{self._level(n - 1)[t]} is not "
+                    f"leading term {Word(m)}{_chain_text(t)} is not "
                     f"below the previous step's leading term; i_{n} does "
                     f"not descend")
             previous = lead
             image = self.jmap(n, m, t)
             if image is None:
                 raise SplittingError(
-                    f"leading term {Word(m)}{self._level(n - 1)[t]} admits "
+                    f"leading term {Word(m)}{_chain_text(t)} admits "
                     f"no chain factorization; input is not a boundary")
             image = image.scale(c)
             result = result + image
@@ -538,9 +509,9 @@ class AnickComplex:
                 "ok": not failures}
 
     def matrix(self, n: int, degree: Degree,
-               source_chains: Optional[Sequence[Chain]] = None,
-               target_chains: Optional[Sequence[Chain]] = None,
-               dmap: Optional[Callable[[Chain], ModuleElement]] = None
+               source_chains: Optional[Sequence[str]] = None,
+               target_chains: Optional[Sequence[str]] = None,
+               dmap: Optional[Callable[[str], ModuleElement]] = None
                ) -> GradedMatrix:
         """The matrix of d_n (or of a supplied chain map) in one degree."""
         cols = self.basis(n, degree, source_chains)
@@ -555,7 +526,7 @@ class AnickComplex:
     def relevant_degrees(self, deg_bound: int) -> list[Degree]:
         """Degrees (<= bound) in which some P_n has a nonzero component."""
         self._ensure_words(deg_bound)
-        chain_degrees = {t.degree for level in (-1, 0, 1, 2)
+        chain_degrees = {Word(t).degree for level in (-1, 0, 1, 2)
                          for t in self.chains(level)}
         return [Degree(*d) for d in sorted(
             {(ca + ma, cb + mb) for ca, cb in chain_degrees

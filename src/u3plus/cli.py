@@ -313,14 +313,14 @@ def cmd_anick(args) -> int:
     ok = complex_report["ok"] and all(r.ok for r in exactness)
     matches = cx.matches_w()
     payload = {
-        "t1": [list(c.word.tokens) for c in cx.t1],
-        "t2": [list(c.word.tokens) for c in cx.t2],
+        "t1": [list(Word(c).tokens) for c in cx.t1],
+        "t2": [list(Word(c).tokens) for c in cx.t2],
         "degree_tables": {
-            str(level): {str(c.word): [c.degree.alpha, c.degree.beta]
-                         for c in cx.chains(level)}
+            str(level): {str(w): [w.degree.alpha, w.degree.beta]
+                         for w in map(Word, cx.chains(level))}
             for level in (0, 1, 2)
         },
-        "matches_W": [[str(u.word), str(w.word)] for u, w in matches],
+        "matches_W": [[str(Word(u)), str(Word(w))] for u, w in matches],
         "d1": [r.d1 for r in exactness],
         "d2": [r.d2 for r in exactness],
         "complex_check": complex_report,
@@ -328,8 +328,8 @@ def cmd_anick(args) -> int:
         "ok": ok,
     }
     lines = [
-        f"T1 ({len(cx.t1)}): " + ", ".join(str(c.word) for c in cx.t1),
-        f"T2 ({len(cx.t2)}): " + ", ".join(str(c.word) for c in cx.t2),
+        f"T1 ({len(cx.t1)}): " + ", ".join(str(Word(c)) for c in cx.t1),
+        f"T2 ({len(cx.t2)}): " + ", ".join(str(Word(c)) for c in cx.t2),
         f"matches_W: {len(matches)} pairs",
         f"complex identities: {'pass' if complex_report['ok'] else 'FAIL'}",
         f"exactness (Deg <= {bound}): "
@@ -345,15 +345,15 @@ def cmd_minimal(args) -> int:
     resolution = MinimalResolution(win, args.max_deg)
     report = resolution.report()
     payload = report.to_json()
-    payload["t1_prime"] = [list(c.word.tokens) for c in resolution.t1_prime]
-    payload["t2_prime"] = [list(c.word.tokens) for c in resolution.t2_prime]
+    payload["t1_prime"] = [list(Word(c).tokens) for c in resolution.t1_prime]
+    payload["t2_prime"] = [list(Word(c).tokens) for c in resolution.t2_prime]
     payload["d2_prime"] = resolution.d2_prime_matrices(
         report.exactness_at_p1_prime)
     lines = [
         f"T1' ({len(resolution.t1_prime)}): "
-        + ", ".join(str(c.word) for c in resolution.t1_prime),
+        + ", ".join(str(Word(c)) for c in resolution.t1_prime),
         f"T2' ({len(resolution.t2_prime)}): "
-        + ", ".join(str(c.word) for c in resolution.t2_prime),
+        + ", ".join(str(Word(c)) for c in resolution.t2_prime),
         "smallness: " + ", ".join(
             f"{k}={'pass' if v else 'FAIL'}"
             for k, v in report.smallness.items()),

@@ -38,7 +38,6 @@ from .free_algebra import (
 )
 from .anick import (
     AnickComplex,
-    Chain,
     ChainError,
     GradedMatrix,
     ModuleElement,
@@ -67,21 +66,20 @@ def _excluded_t2_word(win: Window, k: int) -> Word:
     return Word.of([win.a(k + 1)] + [win.b(k)] * win.p)
 
 
-def _t2_chain(cx: AnickComplex, w: Word, error: type, why: str) -> Chain:
+def _t2_chain(cx: AnickComplex, w: Word, error: type, why: str) -> str:
     """The 2-chain with word w, or the given error when T_2 lacks it."""
-    chain = cx.chain(2, w)
-    if chain is None:
+    if w.chars not in cx.t2:
         raise error(f"{w} is not a 2-chain of the window basis; {why}")
-    return chain
+    return w.chars
 
 
 def reduced_chain_sets(cx: AnickComplex, win: Window
-                       ) -> tuple[tuple[Chain, ...], tuple[Chain, ...]]:
+                       ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """(T'_1, T'_2): drop the braid powers and their substitute sources."""
     braids = {_braid_word(win, k).chars for k in win.indices}
     excluded = {_excluded_t2_word(win, k).chars for k in win.indices}
-    t1p = tuple(c for c in cx.t1 if c.word.chars not in braids)
-    t2p = tuple(c for c in cx.t2 if c.word.chars not in excluded)
+    t1p = tuple(c for c in cx.t1 if c not in braids)
+    t2p = tuple(c for c in cx.t2 if c not in excluded)
     return t1p, t2p
 
 
@@ -184,12 +182,12 @@ class MinimalResolution:
         # the d'_2 sources the certificates check: T'_2 and every
         # extended-window source within the weight bound
         self.checked_t2 = tuple(c for c in self.t2_prime_ext
-                                if c.degree.norm <= deg_bound
+                                if Word(c).degree.norm <= deg_bound
                                 or self._max_index(c) <= max_idx)
         braids = {k: _braid_word(self.ext_window, k)
                   for k in self.ext_window.indices}
         self._braid_chain = {k: w.chars for k, w in braids.items()
-                             if self.cx.chain(1, w) is not None}
+                             if w.chars in self.cx.t1}
         self._substitute_chain = {}
         for k in range(self.ext_window.j, self.ext_window.m - 1):
             self._substitute_chain[k] = _t2_chain(
@@ -198,17 +196,17 @@ class MinimalResolution:
                 f"the braid of index {k} has no substitute source")
 
     @staticmethod
-    def _max_index(chain: Chain) -> int:
-        return max(g.index for g in chain.word)
+    def _max_index(t: str) -> int:
+        return max(g.index for g in Word(t))
 
     # -- the corrected differential -------------------------------------------
 
-    def d2_prime(self, chain: Chain) -> ModuleElement:
+    def d2_prime(self, t: str) -> ModuleElement:
         """d_2 with every braid coordinate substituted away: the empty
         word's entry of the complex's image memo under :meth:`_surgery`."""
-        return self.cx.d_chain(2, chain, self._surgery)
+        return self.cx.d_chain(2, t, self._surgery)
 
-    def _surgery(self, chain: Chain) -> ModuleElement:
+    def _surgery(self, t: str) -> ModuleElement:
         """d'_2(.t), computed from d_2(.t); read it through the memo.
 
         The substitute source hits its braid coordinate with a unit scalar
@@ -218,9 +216,9 @@ class MinimalResolution:
         """
         cx = self.cx
         field = cx.field
-        f = cx.d_chain(2, chain)
+        f = cx.d_chain(2, t)
         while True:
-            present = {t for _m, t in f.terms}
+            present = {s for _m, s in f.terms}
             worst = max((k for k, braid in self._braid_chain.items()
                          if braid in present), default=None)
             if worst is None:
@@ -235,10 +233,10 @@ class MinimalResolution:
             unit = boundary.coefficient(("", braid))
             if not unit:
                 raise WindowTooSmallError(
-                    f"substitute source {sub.word} does not reach the braid "
+                    f"substitute source {Word(sub)} does not reach the braid "
                     f"coordinate of index {worst}")
-            r_k = Polynomial({Word(m): c for (m, t), c in f.terms.items()
-                              if t == braid}, field, _clean=True)
+            r_k = Polynomial({Word(m): c for (m, s), c in f.terms.items()
+                              if s == braid}, field, _clean=True)
             factor = field.neg(field.invert(unit))
             f = f + cx.act_poly(r_k.scale(factor), boundary)
         return f
@@ -286,9 +284,10 @@ class MinimalResolution:
         for i, chains in ((1, self.t0), (2, self.t1_prime),
                           (3, self.t2_prime)):
             for c in chains:
-                if c.degree.norm > self.deg_bound:
+                degree = Word(c).degree
+                if degree.norm > self.deg_bound:
                     continue
-                key = (c.degree.alpha, c.degree.beta)
+                key = (degree.alpha, degree.beta)
                 out[i][key] = out[i].get(key, 0) + 1
         return {
             i: {f"{a},{b}": n for (a, b), n in sorted(table.items())}
@@ -375,10 +374,10 @@ def coefficient_lemma_checks(win: Window) -> list[CoefficientCheck]:
 
     # equal weight, larger chain word: the coefficient always vanishes
     key = cx.order.key
-    for t1, t2 in sorted(cx.matches_w(), key=lambda pair: key(pair[1].word)):
-        if key(t1.word) > key(t2.word):
-            got = cx.d_chain(2, t2).coefficient(("", t1.word.chars))
+    for t1, t2 in sorted(cx.matches_w(), key=lambda pair: key(pair[1])):
+        if key(t1) > key(t2):
+            got = cx.d_chain(2, t2).coefficient(("", t1))
             checks.append(CoefficientCheck(
-                f"d2(.{t2.word}) at larger .{t1.word}", "0", str(got),
+                f"d2(.{Word(t2)}) at larger .{Word(t1)}", "0", str(got),
                 got == 0))
     return checks

@@ -237,10 +237,10 @@ def test_c05_boundary_coefficients_as_stated(p):
                 return c
         return 0
 
-    image_b = cx.d_chain(2, cx.chain(2, Word.of([b1] + [a0] * p)))
+    image_b = cx.d_chain(2, Word.of([b1] + [a0] * p).chars)
     assert coeff(image_b, braid) == minus_one
     assert coeff(image_b, ab_next) == 0
-    image_a = cx.d_chain(2, cx.chain(2, Word.of([a1] + [b0] * p)))
+    image_a = cx.d_chain(2, Word.of([a1] + [b0] * p).chars)
     assert coeff(image_a, ab_next) == 0
     assert coeff(image_a, braid) == minus_one, (
         f"exact value is {coeff(image_a, braid)} = -(-1)^p; the claimed -1 "
@@ -363,8 +363,8 @@ def _degree_tables(p, window):
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
 def test_c06_chain_sets_reproduced(p, m):
     cx = complex_for(p, m)
-    assert {c.word for c in cx.t1} == expected_t1(p, m)
-    assert {c.word for c in cx.t2} == expected_t2(p, m)
+    assert {Word(c) for c in cx.t1} == expected_t1(p, m)
+    assert {Word(c) for c in cx.t2} == expected_t2(p, m)
     print(f"ACCEPTANCE 6 chain sets ({p},{m}): |T1|={len(cx.t1)} "
           f"|T2|={len(cx.t2)}  PASS")
 
@@ -373,15 +373,15 @@ def test_c06_chain_sets_reproduced(p, m):
 def test_c06_degree_tables_symbolic(p, m):
     cx = complex_for(p, m)
     t1_expected, t2_expected = _degree_tables(p, range(m))
-    assert {c.word: c.degree for c in cx.chains(1)} == t1_expected
-    assert {c.word: c.degree for c in cx.chains(2)} == t2_expected
+    assert {w: w.degree for w in map(Word, cx.chains(1))} == t1_expected
+    assert {w: w.degree for w in map(Word, cx.chains(2))} == t2_expected
     print(f"ACCEPTANCE 6 degree tables ({p},{m})  PASS")
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_c06_weight_matches_reproduced(p, m):
     cx = complex_for(p, m)
-    got = {(u.word, w.word) for u, w in cx.matches_w()}
+    got = {(Word(u), Word(w)) for u, w in cx.matches_w()}
     assert got == expected_matches(p, m)
     if (p, m) == (2, 3):
         assert (word(gen_a(2, 2), gen_b(1, 2)),

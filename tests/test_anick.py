@@ -25,7 +25,6 @@ from u3plus import (
 )
 from u3plus.anick import (
     AnickComplex,
-    Chain,
     ChainError,
     GradedMatrix,
     SplittingError,
@@ -52,7 +51,8 @@ def W(p, *letters):
 
 def chain_pairs(cx):
     """(word, tail word) of every 1-chain and of every 2-chain, in order."""
-    return tuple([(c.word, c.tail.word) for c in cx.chains(level)]
+    return tuple([(Word(c), Word(tail))
+                  for c, tail in cx._tails[level].items()]
                  for level in (1, 2))
 
 
@@ -235,15 +235,15 @@ class TestChainSets:
     @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
     def test_t1_matches_classification(self, p, m):
         cx = complex_for(p, m)
-        assert {c.word for c in cx.t1} == expected_t1(p, m)
+        assert {Word(c) for c in cx.t1} == expected_t1(p, m)
 
     @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
     def test_t2_matches_classification(self, p, m):
         cx = complex_for(p, m)
-        assert {c.word for c in cx.t2} == expected_t2(p, m)
+        assert {Word(c) for c in cx.t2} == expected_t2(p, m)
 
     def test_t2_21_pinned(self, cx21):
-        assert sorted(str(c.word) for c in cx21.t2) == [
+        assert sorted(str(Word(c)) for c in cx21.t2) == [
             "a0*a0*a0", "b0*a0*b0*a0*a0", "b0*a0*b0*a0*b0*a0",
             "b0*b0*a0*b0*a0", "b0*b0*b0"]
 
@@ -253,36 +253,29 @@ class TestChainSets:
     def test_t1_is_antichain(self, cx22):
         for c1 in cx22.t1:
             for c2 in cx22.t1:
-                if c1 is not c2:
-                    assert c1.word.chars not in c2.word.chars
+                if c1 != c2:
+                    assert c1 not in c2
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_chain_tails_unique_and_valid(self, cx31, level):
-        t1_words = {c.word.chars for c in cx31.t1}
-        for c in cx31.chains(level):
+        t1_words = set(cx31.t1)
+        for c, tail in cx31._tails[level].items():
             # word = u . tail, tail the (level - 1)-chain ending the word
-            tail = c.tail
-            assert tail.level == level - 1
-            assert cx31.chain(level - 1, tail.word) is tail
-            assert c.word.chars.endswith(tail.word.chars)
-            u = Word(c.word.chars[:len(c.word.chars) - len(tail.word.chars)])
+            assert tail in cx31.chains(level - 1)
+            assert c.endswith(tail)
+            u = Word(c[:len(c) - len(tail)])
             assert cx31.delta(level, c) == cx31.act_poly(
                 cx31.system.normal_form_word(u),
-                ModuleElement.basis(EMPTY_WORD.chars, tail, cx31.field))
+                ModuleElement(level - 1, {(EMPTY_WORD.chars, tail): 1},
+                              cx31.field))
             if level == 2:
-                prefixes = [w for w in t1_words
-                            if c.word.chars.startswith(w)]
+                prefixes = [w for w in t1_words if c.startswith(w)]
                 (m1,) = prefixes
                 assert len(m1) > len(u.chars)  # the rules genuinely overlap
 
-    def test_chain_equality_is_level_and_word(self, cx31):
-        for level in (-1, 0, 1, 2):
-            for t in cx31.chains(level):
-                bare = Chain(t.level, t.word)
-                assert bare == t
-                assert hash(bare) == hash(t)
+    def test_a1_b1_is_no_1_chain(self):
         cx = complex_for(3, 2)
-        assert cx.chain(1, W(3, ("a", 1), ("b", 1))) is None
+        assert W(3, ("a", 1), ("b", 1)).chars not in cx.t1
 
     def test_t2_tips_are_minimal_critical_tips(self):
         for p, m in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
@@ -309,8 +302,8 @@ class TestChainSets:
         boundary)."""
         boundary = W(3, ("b", 0), ("a", 0), ("a", 0), ("a", 0))
         degree = boundary.degree
-        keep = [c for c in cx31.t2 if c.word != boundary
-                and c.word != W(3, ("b", 0), ("b", 0), ("b", 0), ("a", 0))]
+        keep = [c for c in cx31.t2 if c != boundary.chars
+                and c != W(3, ("b", 0), ("b", 0), ("b", 0), ("a", 0)).chars]
         dims1 = len(cx31.basis(1, degree))
         r1 = cx31.matrix(1, degree).rank(cx31.field)
         r2_full = cx31.matrix(2, degree).rank(cx31.field)
@@ -329,11 +322,11 @@ class TestChainSets:
     @pytest.mark.parametrize("level", [3, -2])
     @pytest.mark.parametrize("call", [
         lambda cx, n: cx.chains(n),
-        lambda cx, n: cx.chain(n, cx.t0[0].word),
+        lambda cx, n: cx.delta(n, cx.t0[0]),
         lambda cx, n: cx.basis(n, Degree(2, 2)),
         lambda cx, n: cx.matrix(n, Degree(2, 2)),
-        lambda cx, n: cx.jmap(n, cx.t0[0].word.chars, cx.t0[0]),
-    ], ids=["chains", "chain", "basis", "matrix", "jmap"])
+        lambda cx, n: cx.jmap(n, cx.t0[0], cx.t0[0]),
+    ], ids=["chains", "delta", "basis", "matrix", "jmap"])
     def test_level_out_of_range_is_typed(self, cx21, call, level):
         with pytest.raises(ChainError, match=f"level {level}; levels run "
                                              "from -1 to 2"):
@@ -344,47 +337,48 @@ class TestDegreeTables:
     @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
     def test_t1_degrees(self, p, m):
         cx = complex_for(p, m)
-        table = {c: c.degree for c in cx.chains(1)}
+        table = {c: Word(c).degree for c in cx.chains(1)}
         for chain, degree in table.items():
-            assert degree == expected_degree(chain.word)
+            assert degree == expected_degree(Word(chain))
         # spot formulas: deg(a_l b_k) = p^l alpha + p^k beta, and the braid
-        assert table[cx.chain(1, W(p, ("a", 1), ("b", 0)))] \
-            == Degree(p, 1)
-        assert table[cx.chain(
-            1, Word.of([b(0, p), a(0, p)] * p))] == Degree(p, p)
+        assert table[W(p, ("a", 1), ("b", 0)).chars] == Degree(p, 1)
+        assert table[
+            Word.of([b(0, p), a(0, p)] * p).chars] == Degree(p, p)
 
     @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
     def test_t2_degrees(self, p, m):
         cx = complex_for(p, m)
-        for chain, degree in {c: c.degree for c in cx.chains(2)}.items():
-            assert degree == expected_degree(chain.word)
+        for chain, degree in {c: Word(c).degree
+                              for c in cx.chains(2)}.items():
+            assert degree == expected_degree(Word(chain))
 
     def test_braid_power_row(self, cx22):
         # deg((b_k a_k)^{p+1}) = (p^{k+1} + p^k)(alpha + beta)
-        chain = cx22.chain(2, Word.of([b(0, 2), a(0, 2)] * 3))
+        chain = Word.of([b(0, 2), a(0, 2)] * 3)
+        assert chain.chars in cx22.t2
         assert chain.degree == Degree(3, 3)
 
     def test_level_minus_one(self, cx21):
-        assert {c: c.degree for c in cx21.chains(-1)} == {
-            cx21.e_chain: Degree(0, 0)}
+        assert {c: Word(c).degree for c in cx21.chains(-1)} == {
+            "": Degree(0, 0)}
 
 
 class TestMatchesW:
     @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2)])
     def test_families_reproduced(self, p, m):
         cx = complex_for(p, m)
-        got = {(u.word, w.word) for u, w in cx.matches_w()}
+        got = {(Word(u), Word(w)) for u, w in cx.matches_w()}
         assert got == expected_matches(p, m)
 
     def test_p2_only_bracket_appears_at_window_three(self):
         cx = complex_for(2, 3)
-        got = {(str(u.word), str(w.word)) for u, w in cx.matches_w()}
+        got = {(str(Word(u)), str(Word(w))) for u, w in cx.matches_w()}
         assert ("a2*b1", "a1*b0*a0*b0*a0") in got
         assert ("b2*a1", "b1*b0*a0*b0*a0") in got
 
     def test_braid_pairs_present_at_p3(self):
         cx = complex_for(3, 2)
-        got = {(str(u.word), str(w.word)) for u, w in cx.matches_w()}
+        got = {(str(Word(u)), str(Word(w))) for u, w in cx.matches_w()}
         assert ("b0*a0*b0*a0*b0*a0", "a1*b0*b0*b0") in got
         assert ("b0*a0*b0*a0*b0*a0", "b1*a0*a0*a0") in got
 
@@ -398,78 +392,84 @@ class TestDeltaAndJ:
     def test_delta0_on_generator(self, cx21):
         x = cx21.t0[0]
         got = cx21.delta(0, x)
-        assert got == ModuleElement.basis(x.word.chars, cx21.e_chain,
-                                          cx21.field)
+        assert got == ModuleElement(-1, {(x, ""): 1}, cx21.field)
 
     def test_delta_needs_a_chain_of_its_level_with_a_tail(self, cx21):
-        with pytest.raises(ValueError, match="no delta_1"):
+        with pytest.raises(ChainError, match="no delta_1"):
             cx21.delta(1, cx21.t0[0])
-        with pytest.raises(ValueError, match="no delta_-1"):
-            cx21.delta(-1, cx21.e_chain)
+        with pytest.raises(ChainError, match="no delta_-1"):
+            cx21.delta(-1, "")
 
     def test_j1_no_factorization(self, cx21):
         m = W(2, ("a", 0), ("b", 0))
-        x = cx21.chain(0, word(a(0, 2)))
-        assert cx21.jmap(1, m.chars, x.word.chars) is None
+        x = word(a(0, 2)).chars
+        assert x in cx21.t0
+        assert cx21.jmap(1, m.chars, x) is None
 
     def test_j1_finds_the_rule_suffix(self, cx22):
         m = W(2, ("b", 0), ("a", 1))
-        x = cx22.chain(0, word(b(0, 2)))
-        got = cx22.jmap(1, m.chars, x.word.chars)
-        chain = cx22.chain(1, W(2, ("a", 1), ("b", 0)))
-        assert got == ModuleElement.basis(word(b(0, 2)).chars, chain,
-                                          cx22.field)
+        x = word(b(0, 2)).chars
+        assert x in cx22.t0
+        got = cx22.jmap(1, m.chars, x)
+        chain = W(2, ("a", 1), ("b", 0)).chars
+        assert chain in cx22.t1
+        assert got == ModuleElement(1, {(word(b(0, 2)).chars, chain): 1},
+                                    cx22.field)
 
     def test_delta2_example(self, cx21):
-        chain = cx21.chain(
-            2, W(2, ("b", 0), ("a", 0), ("b", 0), ("a", 0), ("a", 0)))
+        chain = W(2, ("b", 0), ("a", 0), ("b", 0), ("a", 0), ("a", 0)).chars
         got = cx21.delta(2, chain)
-        sq = cx21.chain(1, W(2, ("a", 0), ("a", 0)))
-        assert got == ModuleElement.basis(
-            W(2, ("b", 0), ("a", 0), ("b", 0)).chars, sq, cx21.field)
+        sq = W(2, ("a", 0), ("a", 0)).chars
+        assert sq in cx21.t1
+        assert got == ModuleElement(
+            1, {(W(2, ("b", 0), ("a", 0), ("b", 0)).chars, sq): 1},
+            cx21.field)
 
 
 class TestDifferentials:
     def test_d0_is_evaluation(self, cx21):
         for x in cx21.t0:
-            assert cx21.d_chain(0, x) == ModuleElement.basis(
-                x.word.chars, cx21.e_chain, cx21.field)
+            assert cx21.d_chain(0, x) == ModuleElement(
+                -1, {(x, ""): 1}, cx21.field)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_d1_on_generator_power(self, p):
         cx = complex_for(p, 1)
         B = b(0, p)
-        chain = cx.chain(1, Word.of([B] * p))
-        x = cx.chain(0, word(B))
-        expected = ModuleElement.basis(Word.of([B] * (p - 1)).chars, x,
-                                       cx.field)
+        chain = Word.of([B] * p).chars
+        x = word(B).chars
+        assert x in cx.t0
+        expected = ModuleElement(0, {(Word.of([B] * (p - 1)).chars, x): 1},
+                                 cx.field)
         assert cx.d_chain(1, chain) == expected
 
     def test_d1_on_skew_rule_p3(self):
         # d1(.a1 b0) = a1.b0 - b0.a1 - a0^2 b0.a0 (signs visible mod 3)
         cx = complex_for(3, 2)
-        chain = cx.chain(1, W(3, ("a", 1), ("b", 0)))
+        chain = W(3, ("a", 1), ("b", 0)).chars
         got = cx.d_chain(1, chain)
-        xa0 = cx.chain(0, word(a(0, 3)))
-        xa1 = cx.chain(0, word(a(1, 3)))
-        xb0 = cx.chain(0, word(b(0, 3)))
-        assert got.coefficient((word(a(1, 3)).chars, xb0.word.chars)) == 1
-        assert got.coefficient((word(b(0, 3)).chars, xa1.word.chars)) == 2
+        xa0 = word(a(0, 3)).chars
+        xa1 = word(a(1, 3)).chars
+        xb0 = word(b(0, 3)).chars
+        assert {xa0, xa1, xb0} <= set(cx.t0)
+        assert got.coefficient((word(a(1, 3)).chars, xb0)) == 1
+        assert got.coefficient((word(b(0, 3)).chars, xa1)) == 2
         assert got.coefficient(
-            (W(3, ("a", 0), ("a", 0), ("b", 0)).chars, xa0.word.chars)) == 2
+            (W(3, ("a", 0), ("a", 0), ("b", 0)).chars, xa0)) == 2
         assert len(got.terms) == 3
 
     def test_d2_on_substitute_source(self, cx22):
         # d2(.a1 b0^2) = a1.b0^2 - b0.a1b0 - .(b0 a0)^2
-        chain = cx22.chain(2, W(2, ("a", 1), ("b", 0), ("b", 0)))
+        chain = W(2, ("a", 1), ("b", 0), ("b", 0)).chars
         got = cx22.d_chain(2, chain)
-        sq = cx22.chain(1, W(2, ("b", 0), ("b", 0)))
-        skew = cx22.chain(1, W(2, ("a", 1), ("b", 0)))
-        braid = cx22.chain(1, W(2, ("b", 0), ("a", 0), ("b", 0), ("a", 0)))
-        assert got == (
-            ModuleElement.basis(word(a(1, 2)).chars, sq, cx22.field)
-            + ModuleElement.basis(word(b(0, 2)).chars, skew, cx22.field)
-            + ModuleElement.basis(EMPTY_WORD.chars, braid, cx22.field))
+        sq = W(2, ("b", 0), ("b", 0)).chars
+        skew = W(2, ("a", 1), ("b", 0)).chars
+        braid = W(2, ("b", 0), ("a", 0), ("b", 0), ("a", 0)).chars
+        assert {sq, skew, braid} <= set(cx22.t1)
+        assert got == ModuleElement(1, {(word(a(1, 2)).chars, sq): 1,
+                                        (word(b(0, 2)).chars, skew): 1,
+                                        (EMPTY_WORD.chars, braid): 1},
+                                    cx22.field)
 
     @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1)])
     def test_highest_term_law(self, p, m):
@@ -484,12 +484,29 @@ class TestDifferentials:
     def test_chain_the_complex_lacks_is_named(self, cx21):
         # a letter is a 0-chain, not a 1-chain of this window
         x = cx21.t0[0]
-        missing = re.escape(f"no 1-chain {x.word} in the complex")
+        missing = re.escape(f"no 1-chain {Word(x)} in the complex")
         with pytest.raises(ChainError, match=missing):
             cx21.d_chain(1, x)
-        f = ModuleElement(1, {("", x.word.chars): 1}, cx21.field)
+        f = ModuleElement(1, {("", x): 1}, cx21.field)
         with pytest.raises(ChainError, match=missing):
             cx21.d(1, f)
+
+    def test_a_string_that_is_no_n_chain_is_typed(self, cx21):
+        # delta, d_chain, matrix and d'_2 take chain chars; a letter is a
+        # 0-chain, not a 1-chain or a 2-chain
+        x = cx21.t0[0]
+        with pytest.raises(ChainError, match=re.escape(
+                f"no delta_1 on .{Word(x)}: not a 1-chain")):
+            cx21.delta(1, x)
+        missing = re.escape(f"no 1-chain {Word(x)} in the complex")
+        with pytest.raises(ChainError, match=missing):
+            cx21.d_chain(1, x)
+        with pytest.raises(ChainError, match=missing):
+            cx21.matrix(1, Word(x).degree, source_chains=[x])
+        res = MinimalResolution(Window(2, 0, 1), 8)
+        with pytest.raises(ChainError, match=re.escape(
+                f"no 2-chain {Word(x)} in the complex")):
+            res.d2_prime(x)
 
     @pytest.mark.parametrize("p,m", [(2, 2), (3, 1)])
     def test_differentials_homogeneous(self, p, m):
@@ -498,17 +515,18 @@ class TestDifferentials:
             for t in cx.chains(level):
                 image = cx.d_chain(level, t)
                 assert {Word(w).degree + Word(tt).degree
-                        for w, tt in image.terms} <= {t.degree}
+                        for w, tt in image.terms} <= {Word(t).degree}
 
 
 class TestSplitting:
     def test_i0_splits_last_letter(self, cx21):
         m = W(2, ("a", 0), ("b", 0))
-        f = ModuleElement.basis(m.chars, cx21.e_chain, cx21.field)
+        f = ModuleElement(-1, {(m.chars, ""): 1}, cx21.field)
         got = cx21.splitting(0, f)
-        xb = cx21.chain(0, word(b(0, 2)))
-        assert got == ModuleElement.basis(word(a(0, 2)).chars, xb,
-                                          cx21.field)
+        xb = word(b(0, 2)).chars
+        assert xb in cx21.t0
+        assert got == ModuleElement(0, {(word(a(0, 2)).chars, xb): 1},
+                                    cx21.field)
 
     def test_zero_maps_to_zero(self, cx21):
         zero = ModuleElement.zero(0, cx21.field)
@@ -532,12 +550,12 @@ class TestSplitting:
 
     def test_non_boundary_rejected(self, cx21):
         x = cx21.t0[0]
-        f = ModuleElement.basis(EMPTY_WORD.chars, x, cx21.field)
+        f = ModuleElement(0, {(EMPTY_WORD.chars, x): 1}, cx21.field)
         with pytest.raises(SplittingError):
             cx21.splitting(1, f)
 
     def test_scalar_level_minus_one_rejected(self, cx21):
-        f = ModuleElement.basis(EMPTY_WORD.chars, cx21.e_chain, cx21.field)
+        f = ModuleElement(-1, {(EMPTY_WORD.chars, ""): 1}, cx21.field)
         with pytest.raises(SplittingError, match=re.escape(
                 "leading term 1.e admits no chain factorization")):
             cx21.splitting(0, f)
@@ -735,11 +753,10 @@ def test_memoized_images_match_action(p, bound):
     for n in (0, 1, 2):
         for t in ref.chains(n):
             for m in words:
-                if m.degree.norm + t.degree.norm > bound:
+                if m.degree.norm + Word(t).degree.norm > bound:
                     continue
                 # longest words first, so their suffixes fill on the way
-                got = ModuleElement(n - 1, cx._image(n, t.word.chars,
-                                                     m.chars), cx.field)
+                got = ModuleElement(n - 1, cx._image(n, t, m.chars), cx.field)
                 assert got == ref.act(m.chars, ref.d_chain(n, t)), (n, t, m)
                 checked += 1
     assert checked
@@ -753,21 +770,21 @@ def test_memoized_chain_map_images_match_action(p, bound):
     words = sorted(cx.system.irreducible_words(bound), key=len, reverse=True)
     surgered = 0
     for t in res.t2_prime_ext:
-        if t.degree.norm > bound:
+        norm = Word(t).degree.norm
+        if norm > bound:
             continue
         surgered += res.d2_prime(t) != cx.d_chain(2, t)
         for m in words:
-            if m.degree.norm + t.degree.norm > bound:
+            if m.degree.norm + norm > bound:
                 continue
-            got = ModuleElement(1, cx._image(2, t.word.chars, m.chars),
-                                cx.field)
+            got = ModuleElement(1, cx._image(2, t, m.chars), cx.field)
             assert got == cx.act(m.chars, cx.d_chain(2, t)), (t, m)
-            got = ModuleElement(1, cx._image(2, t.word.chars, m.chars,
-                                             res._surgery), cx.field)
+            got = ModuleElement(1, cx._image(2, t, m.chars, res._surgery),
+                                cx.field)
             assert got == cx.act(m.chars, res.d2_prime(t)), (t, m)
         # d'_2(.t) is the empty word's entry of the same memo
         assert res.d2_prime(t) == ModuleElement(
-            1, cx._image(2, t.word.chars, "", res._surgery), cx.field)
+            1, cx._image(2, t, "", res._surgery), cx.field)
     assert surgered
 
 
@@ -790,13 +807,13 @@ def test_image_costs_one_letter_action_per_letter(monkeypatch, p, m):
         for t in cx.chains(n):
             base = cx.d_chain(n, t)
             spans += len({tt for _w, tt in base.terms}) > 1
-            images = cx._images[(n, t.word.chars, None)]
+            images = cx._images[(n, t, None)]
             monkeypatch.setattr(cx.system, "_left_multiply", counted)
             for mm in words:
                 for suffix in [k for k in images if k]:
                     del images[suffix]
                 calls.clear()
-                cx._image(n, t.word.chars, mm)
+                cx._image(n, t, mm)
                 assert len(calls) == len(mm), (n, t, mm)
             monkeypatch.undo()
     assert spans
@@ -814,11 +831,11 @@ def test_letter_action_stores_no_zero_coefficient(p, m):
     for u in rng.choices(words, k=40):
         for n in (0, 1, 2):
             for t in cx.chains(n):
-                cx._image(n, t.word.chars, u.chars)
+                cx._image(n, t, u.chars)
         for t in res.t2_prime_ext:
             # the surgery reaches the braids of weight up to the bound
-            if t.degree.norm <= 8:
-                cx._image(2, t.word.chars, u.chars, res._surgery)
+            if Word(t).degree.norm <= 8:
+                cx._image(2, t, u.chars, res._surgery)
         cx.system._nf_chars(rng.choice(words).chars + u.chars)
     # the terms of every stored image, one map per chain it spans
     images = [{w: c for (w, tt), c in terms.items() if tt == t}
@@ -832,8 +849,8 @@ def test_letter_action_stores_no_zero_coefficient(p, m):
 
 def test_module_keys_are_two_strings():
     """A basis element m.t is keyed (m chars, t chars) in basis labels,
-    in ModuleElement.basis and in the image memo, whose keys then hold no
-    object the garbage collector tracks."""
+    in j_n and in the image memo, whose keys then hold no object the
+    garbage collector tracks."""
     cx = AnickComplex(small_groebner_basis(Window(3, 0, 1)))
     reports = cx.exactness_check(12)
     gc.collect()
@@ -843,7 +860,9 @@ def test_module_keys_are_two_strings():
     labels = [label for r in reports for mat in (r.d1, r.d2)
               for label in mat.row_labels + mat.col_labels]
     labels += cx.basis(1, reports[-1].degree)
-    labels += ModuleElement.basis("", cx.t1[0], cx.field).terms
+    # j_1(u.x) = .ux for the 1-chain ux, whose tail is its last letter x
+    t = cx.t1[0]
+    labels += cx.jmap(1, t[:-1], t[-1]).terms
     assert labels and all(type(m) is str and type(t) is str
                           for m, t in labels)
 
@@ -861,9 +880,9 @@ def test_basis_is_sorted_by_pair_key(p, m, bound):
         for level, primed in ((-1, None), (0, None), (1, t1p), (2, t2p)):
             for chains in {None, primed}:
                 pool = cx.chains(level) if chains is None else chains
-                want = sorted(((w.chars, t.word.chars) for t in pool
+                want = sorted(((w.chars, t) for t in pool
                                for w in words
-                               if w.degree + t.degree == degree),
+                               if w.degree + Word(t).degree == degree),
                               key=lambda mt: cx.pair_key(*mt), reverse=True)
                 assert cx.basis(level, degree, chains) == want
                 checked += len(want)

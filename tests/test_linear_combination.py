@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from u3plus import (
-    Chain,
     DividedMonomial,
     EMPTY_WORD,
     FieldSpec,
@@ -32,7 +31,7 @@ FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), QQ]
 _A, _B = gen_a(0, 3), gen_b(0, 3)
 _WORDS = [EMPTY_WORD, Word.of([_A]), Word.of([_B]), Word.of([_B, _A]),
           Word.of([_A, _B, _A])]
-_CHAINS = [Chain(1, Word.of([_B, _A])), Chain(1, Word.of([_A, _A, _A]))]
+_CHAINS = [Word.of([_B, _A]).chars, Word.of([_A, _A, _A]).chars]
 
 # class -> (keys, build(terms, field))
 KINDS = {

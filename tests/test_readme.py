@@ -18,6 +18,10 @@ def test_quick_start_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "True"
+    assert lines[2] == str([
+        "a0*a0*a0*a0", "b0*a0*a0*a0", "b0*b0*a0*a0", "b0*b0*b0*a0",
+        "b0*b0*b0*b0", "b0*a0*b0*a0*b0*a0*a0", "b0*b0*a0*b0*a0*b0*a0",
+        "b0*a0*b0*a0*b0*a0*b0*a0"])
     assert lines[3] == "True"
     assert lines[4].startswith("{1: ")
 
