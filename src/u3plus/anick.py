@@ -49,7 +49,10 @@ letter x acting on the memoized image of its suffix m'.t, one call of the
 system's letter action on every chain of that image at once, and the
 differentials, the splittings and the graded matrices all read the same
 images; a letter acts from the system's letter-action memo, computing only
-missing entries.
+missing entries.  The graded matrices drop the entry of each column once no
+later degree can extend it, when the degrees ascend as in the certificates,
+so the memo holds a narrow band of degrees; an entry read again after that
+is recomputed from its longest suffix still held.
 
 A graded basis is sorted on the words mt with each letter translated to
 its rank, made once per word and once per chain, and the bases of the
@@ -262,17 +265,32 @@ class AnickComplex:
             self._tails[n] = self._build_level(n)
         self.t0, self.t1, self.t2 = (self.chains(n) for n in range(3))
         # (n, t, dmap) -> m chars -> the terms of m.d_n(t) or m.dmap(t);
-        # the key "" holds the image of .t itself
+        # the key "" holds the image of .t itself and is kept for good.
+        # matrix() drops the entry of a column once no later degree can
+        # read it, assuming the degrees ascend in (alpha, beta) as in the
+        # certificates; a later read recomputes it
         self._images: dict[tuple, dict[str, dict]] = {}
+        # expiry alpha -> image map, words, image map, words, ...: the
+        # entries to drop past it, flat so that no new object is tracked
+        self._expiry: dict[int, list] = {}
+        # the degrees of the letters x with x m irreducible -> the reach of
+        # m, head m[:L-1] -> that reach, and word degree -> (reach, words),
+        # as in :meth:`_classify`
+        self._reaches: dict[tuple, tuple[int, ...]] = {}
+        self._head_reaches: dict[str, tuple[int, ...]] = {}
+        self._word_classes: dict[tuple, list[tuple[tuple, list[str]]]] = {}
+        self._top_norm = max((g.degree.norm for g in system.alphabet),
+                             default=0)
         self._words_bound = -1
         # degree -> (rank string, chars) for each irreducible word of it
         self._words_by_degree: dict[Degree, list[tuple[str, str]]] = {}
         # chain set chars -> (alpha, beta) -> (rank string, chain chars)
         self._chain_groups: dict[tuple, dict[tuple, list]] = {}
         # the bases of one degree, by (level, chain set chars): the matrices
-        # that meet at a basis share its list
+        # that meet at a basis share its list, kept with the (word degree,
+        # chains) parts it was made of
         self._bases_degree: Optional[Degree] = None
-        self._bases: dict[tuple, list[tuple[str, str]]] = {}
+        self._bases: dict[tuple, tuple[list, list]] = {}
 
     # -- chain sets ---------------------------------------------------------
 
@@ -353,9 +371,9 @@ class AnickComplex:
         if degree != self._bases_degree:
             self._bases_degree, self._bases = degree, {}
         chains = tuple(self._level(level) if chain_set is None else chain_set)
-        out = self._bases.get((level, chains))
-        if out is not None:
-            return out
+        hit = self._bases.get((level, chains))
+        if hit is not None:
+            return hit[0]
         self._ensure_words(degree.norm)
         groups = self._chain_groups.get(chains)
         if groups is None:
@@ -368,13 +386,16 @@ class AnickComplex:
         # every mt of one degree has the same weight, so pair_key compares
         # the ranks of the letters of mt, and those rank strings differ
         keyed: dict[str, tuple[str, str]] = {}
+        parts = []
         for (ta, tb), group in groups.items():
-            ranked = words.get((alpha - ta, beta - tb))
+            word_degree = (alpha - ta, beta - tb)
+            ranked = words.get(word_degree)
             if ranked:
+                parts.append((word_degree, group))
                 keyed.update({rm + rt: (m, t) for rt, t in group
                               for rm, m in ranked})
-        out = self._bases[(level, chains)] = [
-            keyed[r] for r in sorted(keyed, reverse=True)]
+        out = [keyed[r] for r in sorted(keyed, reverse=True)]
+        self._bases[(level, chains)] = (out, parts)
         return out
 
     # -- the maps -------------------------------------------------------------
@@ -425,9 +446,11 @@ class AnickComplex:
                ) -> dict:
         """The terms of m.d_n(t), or of m.dmap(t); memoized, read only.
 
-        The empty word's entry is computed first, from delta_n or dmap.  A
-        missing image x m'.t is the letter x acting on the image of m'.t;
-        the memo fills from the longest suffix of m it already holds.
+        The empty word's entry is computed first, from delta_n or dmap, and
+        is kept for good.  A missing image x m'.t is the letter x acting on
+        the image of m'.t; the memo fills from the longest suffix of m it
+        still holds, so an entry that :meth:`matrix` dropped is recomputed,
+        with the same terms, if it is asked for again.
         """
         key = (n, t, dmap)
         images = self._images.get(key)
@@ -513,15 +536,81 @@ class AnickComplex:
                target_chains: Optional[Sequence[str]] = None,
                dmap: Optional[Callable[[str], ModuleElement]] = None
                ) -> GradedMatrix:
-        """The matrix of d_n (or of a supplied chain map) in one degree."""
-        cols = self.basis(n, degree, source_chains)
+        """The matrix of d_n (or of a supplied chain map) in one degree.
+
+        The image memo entry of a column m.t in degree D, m nonempty, is
+        read again only as the seed of a column x m.t, in degree D + deg x.
+        A b-letter x keeps alpha, and an a-letter adds at most w, the reach
+        of m (see :meth:`_classify`) at what the word bound leaves above D.
+        So when the degrees ascend in (alpha, beta), as in the
+        certificates, the entry is dead past alpha D.alpha + w, and the
+        first matrix of a later alpha drops it; in any other order an entry
+        read again is recomputed.
+        """
+        chains = tuple(self._level(n) if source_chains is None
+                       else source_chains)
+        cols = self.basis(n, degree, chains)
         rows = self.basis(n - 1, degree, target_chains)
+        alpha = degree.alpha
+        for due in [due for due in self._expiry if due < alpha]:
+            bucket = self._expiry.pop(due)
+            for images, words in zip(bucket[::2], bucket[1::2]):
+                for m in words:
+                    images.pop(m, None)
         index = {label: i for i, label in enumerate(rows)}
         entries: list[list[tuple[int, object]]] = [[] for _ in rows]
         for jcol, (m, t) in enumerate(cols):
             for label, c in self._image(n, t, m, dmap).items():
                 entries[index[label]].append((jcol, c))
+        # the columns m.t of one basis part are every word m of its word
+        # degree times every chain t of its group
+        room = min(self._words_bound - degree.norm, self._top_norm)
+        expiry = self._expiry
+        for word_degree, group in self._bases[(n, chains)][1]:
+            classes = self._word_classes.get(word_degree)
+            if classes is None:
+                classes = self._classify(word_degree)
+            for _rank, t in group:
+                images = self._images[(n, t, dmap)]
+                for reach, words in classes:
+                    bucket = expiry.get(alpha + reach[room])
+                    if bucket is None:
+                        bucket = expiry[alpha + reach[room]] = []
+                    bucket += images, words
         return GradedMatrix(degree, rows, cols, entries)
+
+    def _classify(self, word_degree: tuple[int, int]
+                  ) -> list[tuple[tuple[int, ...], list[str]]]:
+        """The nonempty irreducible words m of one degree, grouped by their
+        reach, whose entry r is the largest alpha of an a-letter x of norm
+        <= r with x m irreducible, 0 if there is none.  A redex of x m
+        starts at x, so it lies in x and the head m[:L-1], L the longest
+        lhs, and the reach is found once per head and made once per set of
+        such letters."""
+        system = self.system
+        cut = max(system._lhs_lengths, default=1) - 1
+        classes: dict[int, tuple[tuple[int, ...], list[str]]] = {}
+        for _rank, m in self._words_by_degree.get(word_degree, ()):
+            if not m:
+                continue
+            reach = self._head_reaches.get(m[:cut])
+            if reach is None:
+                letters = tuple(
+                    g.degree for g in system.alphabet if g.degree.alpha
+                    and system._rule_at(g.char + m[:cut], 0) is None)
+                reach = self._reaches.get(letters)
+                if reach is None:
+                    reach = self._reaches[letters] = tuple(
+                        max((d.alpha for d in letters if d.norm <= r),
+                            default=0)
+                        for r in range(self._top_norm + 1))
+                self._head_reaches[m[:cut]] = reach
+            group = classes.get(id(reach))
+            if group is None:
+                group = classes[id(reach)] = (reach, [])
+            group[1].append(m)
+        out = self._word_classes[word_degree] = list(classes.values())
+        return out
 
     def relevant_degrees(self, deg_bound: int) -> list[Degree]:
         """Degrees (<= bound) in which some P_n has a nonzero component."""

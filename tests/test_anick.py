@@ -850,12 +850,21 @@ def test_letter_action_stores_no_zero_coefficient(p, m):
 def test_module_keys_are_two_strings():
     """A basis element m.t is keyed (m chars, t chars) in basis labels,
     in j_n and in the image memo, whose keys then hold no object the
-    garbage collector tracks."""
+    garbage collector tracks.  The memo keys are read after every matrix,
+    while the entries that matrix() later drops are still live."""
     cx = AnickComplex(small_groebner_basis(Window(3, 0, 1)))
+    keys = []
+    matrix = cx.matrix
+
+    def reading(*args, **kwargs):
+        out = matrix(*args, **kwargs)
+        keys.extend(key for by_word in cx._images.values()
+                    for terms in by_word.values() for key in terms)
+        return out
+
+    cx.matrix = reading
     reports = cx.exactness_check(12)
     gc.collect()
-    keys = [key for by_word in cx._images.values()
-            for terms in by_word.values() for key in terms]
     assert keys and not any(gc.is_tracked(key) for key in keys)
     labels = [label for r in reports for mat in (r.d1, r.d2)
               for label in mat.row_labels + mat.col_labels]
@@ -865,6 +874,155 @@ def test_module_keys_are_two_strings():
     labels += cx.jmap(1, t[:-1], t[-1]).terms
     assert labels and all(type(m) is str and type(t) is str
                           for m, t in labels)
+
+
+# windows and bounds on which the image memo is checked against its
+# expiry; Window(2, 1, 2) starts at index j = 1
+_MEMO_RUNS = [(Window(2, 0, 1), 8), (Window(3, 0, 1), 12),
+              (Window(2, 0, 2), 10), (Window(2, 1, 2), 16)]
+
+
+def _certified_matrices(win, bound, reorder=None):
+    """The resolution of the window and every matrix that exactness_check
+    and exactness_at_p1_prime build on its complex, keyed (n, degree,
+    surgered), after both ran over the degrees reorder(degrees)."""
+    res = MinimalResolution(win, bound)
+    cx = res.cx
+    built = {}
+    matrix = cx.matrix
+    relevant = cx.relevant_degrees
+
+    def recording(n, degree, source_chains=None, target_chains=None,
+                  dmap=None):
+        out = matrix(n, degree, source_chains, target_chains, dmap)
+        built[(n, degree, dmap is not None)] = out
+        return out
+
+    cx.matrix = recording
+    if reorder is not None:
+        cx.relevant_degrees = lambda bound: reorder(relevant(bound))
+    cx.exactness_check(bound)
+    res.exactness_at_p1_prime()
+    return res, built
+
+
+@pytest.mark.parametrize("win,bound", _MEMO_RUNS)
+def test_certified_matrices_match_action(win, bound):
+    """Every column m.t of every certified matrix, whose memo entries are
+    dropped as the degrees ascend, is act(m, d_n(.t)), or act(m, d'_2(.t))
+    for d'_2, on an independent complex."""
+    res, built = _certified_matrices(win, bound)
+    ref = MinimalResolution(win, bound)
+    rcx = ref.cx
+    checked = 0
+    for (n, degree, surgered), mat in built.items():
+        index = {label: i for i, label in enumerate(mat.row_labels)}
+        entries = [[] for _ in mat.row_labels]
+        for j, (m, t) in enumerate(mat.col_labels):
+            image = ref.d2_prime(t) if surgered else rcx.d_chain(n, t)
+            for label, c in rcx.act(m, image).items():
+                entries[index[label]].append((j, c))
+        assert mat.entries == entries, (n, degree, surgered)
+        checked += len(mat.col_labels)
+    assert checked
+
+
+@pytest.mark.parametrize("win,bound", _MEMO_RUNS)
+def test_certified_matrices_do_not_depend_on_degree_order(win, bound):
+    """Built over descending or shuffled degrees, where dropped entries
+    are read again and recomputed, the matrices are the same."""
+    _res, want = _certified_matrices(win, bound)
+    rng = random.Random(bound)
+    for reorder in (lambda degrees: degrees[::-1],
+                    lambda degrees: rng.sample(degrees, len(degrees))):
+        _res, got = _certified_matrices(win, bound, reorder)
+        assert got.keys() == want.keys()
+        for key, mat in want.items():
+            assert (got[key].row_labels, got[key].col_labels,
+                    got[key].entries) == (
+                mat.row_labels, mat.col_labels, mat.entries), key
+
+
+@pytest.mark.parametrize("win,bound", _MEMO_RUNS)
+def test_chain_images_are_kept_after_a_run(monkeypatch, win, bound):
+    """d_n(.t) and d'_2(.t), the empty word's memo entries, are never
+    dropped: after both certificates, reading them again multiplies no
+    letter."""
+    res, _built = _certified_matrices(win, bound)
+    cx = res.cx
+    calls = []
+    left_multiply = cx.system._left_multiply
+
+    def counted(letters, terms):
+        calls.append(letters)
+        return left_multiply(letters, terms)
+
+    monkeypatch.setattr(cx.system, "_left_multiply", counted)
+    read = 0
+    for n in (0, 1, 2):
+        for t in cx.chains(n):
+            if Word(t).degree.norm <= bound:
+                cx.d_chain(n, t)
+                read += 1
+    for t in res.t2_prime_ext:
+        if Word(t).degree.norm <= bound:
+            res.d2_prime(t)
+            read += 1
+    assert read and calls == []
+
+
+class _NeverDue(dict):
+    """An expiry map that never shows an alpha as due, so matrix() drops
+    nothing."""
+
+    def __iter__(self):
+        return iter(())
+
+
+@pytest.mark.parametrize("win,bound", _MEMO_RUNS)
+def test_ascending_certificates_recompute_no_image(win, bound):
+    """Over ascending degrees no dropped entry is read again: the minimal
+    report and exactness_check multiply letters as often as when nothing
+    is dropped."""
+    counts = []
+    for drop in (True, False):
+        res = MinimalResolution(win, bound)
+        cx = AnickComplex(small_groebner_basis(win))
+        calls = []
+        for c in (res.cx, cx):
+            if not drop:
+                c._expiry = _NeverDue()
+            left_multiply = c.system._left_multiply
+            c.system._left_multiply = (
+                lambda letters, terms, f=left_multiply:
+                calls.append(letters) or f(letters, terms))
+        res.report()
+        cx.exactness_check(bound)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_image_memo_holds_a_quarter_of_the_columns():
+    """On (3, 0, 1) up to weight 24 the certificate builds ~33,000
+    columns; dropping each column's memo entry once no later degree can
+    extend it keeps the live entries under a quarter of that."""
+    res = MinimalResolution(Window(3, 0, 1), 24)
+    cx = res.cx
+    columns = 0
+    live = []
+    matrix = cx.matrix
+
+    def counting(*args, **kwargs):
+        nonlocal columns
+        out = matrix(*args, **kwargs)
+        columns += len(out.col_labels)
+        live.append(sum(len(by_word) for by_word in cx._images.values()))
+        return out
+
+    cx.matrix = counting
+    res.report()
+    assert columns > 30000
+    assert max(live) <= columns / 4, (max(live), columns)
 
 
 @pytest.mark.parametrize("p,m,bound", [(2, 1, 8), (3, 1, 12), (2, 2, 10)])
