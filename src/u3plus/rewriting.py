@@ -10,7 +10,7 @@ full (``kostant.small_groebner_basis``) and certified complete, so nothing
 here completes a system.  Those certificates scan no rule pairs: a word's
 lhs factors, and the rules whose lhs starts with a suffix of another lhs,
 are found by slicing and looking the slice up in a dictionary of left-hand
-sides (or, within one ``critical_pairs`` call, of their proper prefixes).
+sides (or of their proper prefixes, as the critical pairs are found).
 
 Subalphabet restriction keeps the rules whose left-hand side uses only the
 given letters and raises ``RestrictionError`` when such a rule's right-hand
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .free_algebra import (
     FieldSpec,
@@ -82,9 +82,8 @@ def rule_from_poly(p: Polynomial, order: OrderSpec) -> RewriteRule:
     return RewriteRule(lm, rhs)
 
 
-@dataclass(frozen=True)
-class CriticalPair:
-    """Two rules meeting on one word.
+class CriticalPair(NamedTuple):
+    """Two rules meeting on one word; the words are character strings.
 
     ``overlap``:      tip = lhs1 . v = u . lhs2, with a nonempty proper
                       overlap (rule 1 matches at position 0, rule 2 ends the
@@ -93,33 +92,33 @@ class CriticalPair:
                       rule 1's.
     """
 
-    tip: Word
+    tip: str
     rule1: int
     rule2: int
-    u: Word
-    v: Word
+    u: str
+    v: str
     case: str
 
     def __str__(self) -> str:
-        return f"tip {self.tip} (rules {self.rule1},{self.rule2}, {self.case})"
+        return (f"tip {Word(self.tip)} (rules {self.rule1},{self.rule2}, "
+                f"{self.case})")
 
 
 def spolynomial(system: "RewriteSystem", cp: CriticalPair) -> Polynomial:
     """rhs difference of the two reductions of the tip; 0-reducibility of all
     of these is exactly completeness."""
-    u, v = cp.u.chars, cp.v.chars
     # overlap: r1.rhs . v - u . r2.rhs; containment: r1.rhs - u . r2.rhs . v
-    v1, v2 = (v, "") if cp.case == "overlap" else ("", v)
+    v1, v2 = (cp.v, "") if cp.case == "overlap" else ("", cp.v)
     acc = {w.chars + v1: c for w, c in system.rules[cp.rule1].rhs.items()}
-    _add_scaled(acc, {u + w.chars + v2: c
+    _add_scaled(acc, {cp.u + w.chars + v2: c
                       for w, c in system.rules[cp.rule2].rhs.items()},
                 -1, system.field.characteristic)
     return Polynomial({Word(chars): c for chars, c in acc.items()},
                       system.field, _clean=True)
 
 
-def find_overlaps(m1: Word, m2: Word) -> list[tuple[Word, Word, Word, str]]:
-    """All overlap and containment skeletons of two monomials.
+def find_overlaps(m1: str, m2: str) -> list[tuple[str, str, str, str]]:
+    """All overlap and containment skeletons of two monomials' chars.
 
     Returns tuples ``(tip, u, v, case)``:
 
@@ -128,21 +127,15 @@ def find_overlaps(m1: Word, m2: Word) -> list[tuple[Word, Word, Word, str]]:
     * ``containment``: ``m2`` is a proper factor of ``m1``;
       ``tip = m1 = u.m2.v`` (one entry per occurrence).
     """
-    out: list[tuple[Word, Word, Word, str]] = []
-    s1, s2 = m1.chars, m2.chars
-    for ov in range(1, min(len(s1), len(s2))):
-        if s1[-ov:] == s2[:ov]:
-            out.append((Word(s1 + s2[ov:]), Word(s1[:-ov]), Word(s2[ov:]),
-                        "overlap"))
-    if len(s2) < len(s1):
-        start = 0
-        while True:
-            pos = s1.find(s2, start)
-            if pos < 0:
-                break
-            out.append((m1, Word(s1[:pos]), Word(s1[pos + len(s2):]),
-                        "containment"))
-            start = pos + 1
+    out: list[tuple[str, str, str, str]] = []
+    for ov in range(1, min(len(m1), len(m2))):
+        if m1[-ov:] == m2[:ov]:
+            out.append((m1 + m2[ov:], m1[:-ov], m2[ov:], "overlap"))
+    if len(m2) < len(m1):
+        pos = m1.find(m2)
+        while pos >= 0:
+            out.append((m1, m1[:pos], m1[pos + len(m2):], "containment"))
+            pos = m1.find(m2, pos + 1)
     return out
 
 
@@ -320,10 +313,10 @@ class RewriteSystem:
         if f.field != self.field:
             raise RewriteSystemError("polynomial field does not match system")
         p = self.field.characteristic
-        acc: dict[str, object] = {}
+        acc: dict[tuple[str, str], object] = {}
         for w, c in f.items():
-            _add_scaled(acc, self._nf_chars(w.chars), c, p)
-        return Polynomial({Word(chars): c for chars, c in acc.items()},
+            _add_scaled(acc, self._left_multiply(w.chars, {("", ""): c}), 1, p)
+        return Polynomial({Word(v): c for (v, _tail), c in acc.items()},
                           self.field, _clean=True)
 
     def normal_form_word(self, w: Word) -> Polynomial:
@@ -361,45 +354,52 @@ class RewriteSystem:
                 if idx is not None:
                     yield idx
 
-    def critical_pairs(self) -> tuple[CriticalPair, ...]:
-        """All overlaps and containments between ordered rule pairs.
+    def _critical_pairs(self) -> Iterator[CriticalPair]:
+        """Every overlap and containment of an ordered rule pair, as found.
 
         Only partners meet in ``find_overlaps``: rule j is a partner of rule
         i when lhs_j starts with a proper suffix of lhs_i (looked up in a map
         from proper prefixes to rules) or is a proper factor of lhs_i.  Any
         other pair has no skeleton.
         """
+        lhs = [rule.lhs.chars for rule in self.rules]
         by_prefix: dict[str, list[int]] = {}
-        for j, rule in enumerate(self.rules):
-            lhs = rule.lhs.chars
-            for k in range(1, len(lhs)):
-                by_prefix.setdefault(lhs[:k], []).append(j)
-        out: list[CriticalPair] = []
-        for i, r1 in enumerate(self.rules):
-            s1 = r1.lhs.chars
+        for j, s2 in enumerate(lhs):
+            for k in range(1, len(s2)):
+                by_prefix.setdefault(s2[:k], []).append(j)
+        for i, s1 in enumerate(lhs):
             partners = {j for j in self._lhs_factors(s1) if j != i}
             for k in range(1, len(s1)):
                 partners.update(by_prefix.get(s1[k:], ()))
             for j in partners:
-                for tip, u, v, case in find_overlaps(r1.lhs,
-                                                     self.rules[j].lhs):
-                    out.append(CriticalPair(tip, i, j, u, v, case))
-        # the key is total on pairs, so the order partners are met in is moot
-        tip_keys = {chars: self.order.key(chars)
-                    for chars in {cp.tip.chars for cp in out}}
-        out.sort(key=lambda cp: (tip_keys[cp.tip.chars], cp.rule1, cp.rule2,
-                                 len(cp.u.chars), cp.case))
-        return tuple(out)
+                for tip, u, v, case in find_overlaps(s1, lhs[j]):
+                    yield CriticalPair(tip, i, j, u, v, case)
+
+    def _sorted(self, pairs: typing.Collection[CriticalPair]) -> list:
+        """The pairs on the total key (tip key, rule1, rule2, len(u), case),
+        with one order key per distinct tip."""
+        tip_keys = {tip: self.order.key(tip)
+                    for tip in {cp.tip for cp in pairs}}
+        return sorted(pairs, key=lambda cp: (tip_keys[cp.tip], cp.rule1,
+                                             cp.rule2, len(cp.u), cp.case))
+
+    def critical_pairs(self) -> tuple[CriticalPair, ...]:
+        """All overlaps and containments between ordered rule pairs."""
+        return tuple(self._sorted(list(self._critical_pairs())))
 
     def is_complete(self) -> CompletenessCertificate:
-        """Check every critical pair; failures carry the nonzero residual."""
-        failures: list[tuple[Word, Polynomial]] = []
-        pairs = self.critical_pairs()
-        for cp in pairs:
+        """Check each critical pair as it is found; keep only the failures,
+        with their nonzero residuals, in ``critical_pairs`` order."""
+        count = 0
+        residuals: dict[CriticalPair, Polynomial] = {}
+        for cp in self._critical_pairs():
+            count += 1
             residual = self.normal_form(spolynomial(self, cp))
             if not residual.is_zero:
-                failures.append((cp.tip, residual))
-        return CompletenessCertificate(not failures, len(pairs), failures)
+                residuals[cp] = residual
+        return CompletenessCertificate(
+            not residuals, count,
+            [(Word(cp.tip), residuals[cp]) for cp in self._sorted(residuals)])
 
     def is_reduced(self) -> bool:
         """No rule's monomials contain another rule's lhs as a factor."""

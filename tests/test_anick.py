@@ -65,7 +65,7 @@ def reference_chains(system):
         return sorted(pairs, key=lambda pair: system.order.key(pair[0]))
 
     rules = system.rules
-    tips = {cp.tip.chars: (cp.tip, rules[cp.rule2].lhs)
+    tips = {cp.tip: (Word(cp.tip), rules[cp.rule2].lhs)
             for cp in system.critical_pairs()}
     return (in_order((r.lhs, Word(r.lhs.chars[-1])) for r in rules),
             in_order(pair for chars, pair in tips.items()

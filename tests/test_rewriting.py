@@ -2,6 +2,7 @@ import functools
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,26 @@ def _big_system(p, bound):
 
 
 # the systems the all-pairs references below are checked on
+def pruned_g22(skip):
+    """The (2, 2) window basis without rule skip."""
+    g22 = system_for(2, 2)
+    return system_from_polynomials(
+        [rule_polynomial(r) for i, r in enumerate(g22.rules) if i != skip],
+        g22.order, g22.field, g22.alphabet)
+
+
+def big_f3_8_with_changed_rhs(k):
+    """The truncated big system over F_3 up to 8, with the coefficient of
+    one rhs term of rule k doubled."""
+    big = big_rewrite_system(FieldSpec(3), 8, truncated=True)
+    rules = list(big.rules)
+    terms = dict(rules[k].rhs.terms)
+    w = next(iter(terms))
+    terms[w] = 2 * terms[w]
+    rules[k] = RewriteRule(rules[k].lhs, Polynomial(terms, big.field))
+    return RewriteSystem(rules, big.order, big.field, big.alphabet)
+
+
 PAIR_SYSTEMS = {
     "toy": toy_system,
     "nested": nested_lhs_system,
@@ -315,23 +336,26 @@ class TestNormalForm:
 
 class TestOverlaps:
     def test_self_overlap(self):
-        skeletons = find_overlaps(word(A0, A0), word(A0, A0))
+        skeletons = find_overlaps(word(A0, A0).chars, word(A0, A0).chars)
         assert [(t, u, v, c) for t, u, v, c in skeletons] == [
-            (word(A0, A0, A0), word(A0), word(A0), "overlap")]
+            (word(A0, A0, A0).chars, word(A0).chars, word(A0).chars,
+             "overlap")]
 
     def test_mixed_overlap(self):
-        skeletons = find_overlaps(word(A1, B0), word(B0, B0))
+        skeletons = find_overlaps(word(A1, B0).chars, word(B0, B0).chars)
         assert [(t, c) for t, _, _, c in skeletons] == [
-            (word(A1, B0, B0), "overlap")]
+            (word(A1, B0, B0).chars, "overlap")]
 
     def test_no_overlap(self):
-        assert find_overlaps(word(A0, B0), word(B1, A0)) == []
+        assert find_overlaps(word(A0, B0).chars, word(B1, A0).chars) == []
 
     def test_containment(self):
-        skeletons = find_overlaps(word(B0, A0, A0), word(A0))
+        skeletons = find_overlaps(word(B0, A0, A0).chars, word(A0).chars)
         cases = [(t, u, v) for t, u, v, c in skeletons if c == "containment"]
-        assert (word(B0, A0, A0), word(B0), word(A0)) in cases
-        assert (word(B0, A0, A0), word(B0, A0), EMPTY_WORD) in cases
+        assert (word(B0, A0, A0).chars, word(B0).chars,
+                word(A0).chars) in cases
+        assert (word(B0, A0, A0).chars, word(B0, A0).chars,
+                EMPTY_WORD.chars) in cases
 
 
 class TestCriticalPairs:
@@ -347,10 +371,10 @@ class TestCriticalPairs:
             [parse_poly("a0*a0", F2)], order, F2,
             small_window_alphabet(2, 0, 1))
         tips = {cp.tip for cp in system.critical_pairs()}
-        assert tips == {word(A0, A0, A0)}
+        assert tips == {word(A0, A0, A0).chars}
 
     def test_g21_tips_match_enumeration(self, g21):
-        tips = {str(cp.tip) for cp in g21.critical_pairs()}
+        tips = {str(Word(cp.tip)) for cp in g21.critical_pairs()}
         assert tips == {
             "a0*a0*a0", "b0*b0*b0",
             "b0*b0*a0*b0*a0",
@@ -360,7 +384,7 @@ class TestCriticalPairs:
 
     def test_toy_irreducible_spolynomial(self):
         system = toy_system()
-        pairs = {str(cp.tip): cp for cp in system.critical_pairs()}
+        pairs = {str(Word(cp.tip)): cp for cp in system.critical_pairs()}
         assert set(pairs) == {"a0*b0*a0", "b0*a0*b0"}
         bad = pairs["a0*b0*a0"]
         residual = system.normal_form(spolynomial(system, bad))
@@ -376,7 +400,7 @@ class TestCriticalPairs:
     ])
     def test_no_pair_listed_twice(self, g22, make):
         pairs = make(g22).critical_pairs()
-        keys = {(cp.tip.chars, cp.rule1, cp.rule2, cp.u.chars, cp.case)
+        keys = {(cp.tip, cp.rule1, cp.rule2, cp.u, cp.case)
                 for cp in pairs}
         assert len(keys) == len(pairs)
         assert pairs
@@ -391,9 +415,10 @@ class TestCriticalPairs:
         expected = [CriticalPair(tip, i, j, u, v, case)
                     for i, r1 in enumerate(system.rules)
                     for j, r2 in enumerate(system.rules)
-                    for tip, u, v, case in find_overlaps(r1.lhs, r2.lhs)]
+                    for tip, u, v, case in find_overlaps(r1.lhs.chars,
+                                                         r2.lhs.chars)]
         expected.sort(key=lambda cp: (system.order.key(cp.tip), cp.rule1,
-                                      cp.rule2, len(cp.u.chars), cp.case))
+                                      cp.rule2, len(cp.u), cp.case))
         returned = []
 
         def recording(m1, m2):
@@ -408,11 +433,12 @@ class TestCriticalPairs:
 
     def test_containment_reaches_critical_pairs(self):
         pairs = nested_lhs_system().critical_pairs()
-        assert {(str(cp.tip), str(cp.u), str(cp.v))
+        assert {(str(Word(cp.tip)), str(Word(cp.u)), str(Word(cp.v)))
                 for cp in pairs if cp.case == "containment"} == {
             ("a0*a0*a0", "1", "a0"), ("a0*a0*a0", "a0", "1")}
         pairs = inner_lhs_system().critical_pairs()
-        assert [(str(cp.tip), cp.rule1, cp.rule2, str(cp.u), str(cp.v))
+        assert [(str(Word(cp.tip)), cp.rule1, cp.rule2, str(Word(cp.u)),
+                 str(Word(cp.v)))
                 for cp in pairs if cp.case == "containment"] == [
             ("a0*b0*a0", 1, 0, "a0", "a0")]
 
@@ -421,8 +447,8 @@ class TestCriticalPairs:
         system = PAIR_SYSTEMS[name]()
         for cp in system.critical_pairs():
             r1, r2 = system.rules[cp.rule1], system.rules[cp.rule2]
-            u = Polynomial.monomial(cp.u, system.field)
-            v = Polynomial.monomial(cp.v, system.field)
+            u = Polynomial.monomial(Word(cp.u), system.field)
+            v = Polynomial.monomial(Word(cp.v), system.field)
             if cp.case == "overlap":
                 expected = r1.rhs * v - u * r2.rhs
             else:
@@ -449,6 +475,55 @@ class TestCompletenessCertificates:
         assert payload["complete"] is False
         assert payload["pair_count"] == 2
         assert payload["failures"][0]["tip"] == ["a0", "b0", "a0"]
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda g22: g22, id="g22"),
+        pytest.param(lambda g22: big_rewrite_system(FieldSpec(3), 8,
+                                                    truncated=True),
+                     id="big-F3-8"),
+    ])
+    def test_certifies_without_listing_pairs(self, monkeypatch, g22, make):
+        system = make(g22)
+        expected = len(system.critical_pairs())
+
+        def refuse(self):
+            raise AssertionError("critical_pairs called")
+
+        monkeypatch.setattr(RewriteSystem, "critical_pairs", refuse)
+        cert = system.is_complete()
+        assert cert.complete
+        assert cert.pair_count == expected
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: pruned_g22(0), id="g22-without-rule-0"),
+        pytest.param(lambda: big_f3_8_with_changed_rhs(0),
+                     id="big-F3-8-rule-0-changed"),
+    ])
+    def test_failures_in_critical_pair_order(self, make):
+        system = make()
+        expected = [
+            (Word(cp.tip), r) for cp in system.critical_pairs()
+            if not (r := system.normal_form(spolynomial(system, cp))).is_zero]
+        cert = system.is_complete()
+        assert len(expected) >= 2
+        assert cert.failures == expected
+        assert not cert.complete
+
+    def test_keeps_no_pair_list(self):
+        system = big_rewrite_system(FieldSpec(3), 8, truncated=True)
+        system.is_complete()  # fills the letter-action memo
+        tracemalloc.start()
+        try:
+            pairs = system.critical_pairs()
+            listed = tracemalloc.get_traced_memory()[0]
+            del pairs
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert system.is_complete().complete
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < listed / 10, (peak, listed)
 
 
 class TestIsReduced:
