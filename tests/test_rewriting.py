@@ -85,7 +85,6 @@ def _big_system(p, bound):
     return big_rewrite_system(FieldSpec(p), bound, truncated=True)
 
 
-# the systems the all-pairs references below are checked on
 def pruned_g22(skip):
     """The (2, 2) window basis without rule skip."""
     g22 = system_for(2, 2)
@@ -97,7 +96,7 @@ def pruned_g22(skip):
 def big_f3_8_with_changed_rhs(k):
     """The truncated big system over F_3 up to 8, with the coefficient of
     one rhs term of rule k doubled."""
-    big = big_rewrite_system(FieldSpec(3), 8, truncated=True)
+    big = _big_system(3, 8)
     rules = list(big.rules)
     terms = dict(rules[k].rhs.terms)
     w = next(iter(terms))
@@ -106,6 +105,7 @@ def big_f3_8_with_changed_rhs(k):
     return RewriteSystem(rules, big.order, big.field, big.alphabet)
 
 
+# the systems the all-pairs references below are checked on
 PAIR_SYSTEMS = {
     "toy": toy_system,
     "nested": nested_lhs_system,
@@ -478,9 +478,7 @@ class TestCompletenessCertificates:
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda g22: g22, id="g22"),
-        pytest.param(lambda g22: big_rewrite_system(FieldSpec(3), 8,
-                                                    truncated=True),
-                     id="big-F3-8"),
+        pytest.param(lambda g22: _big_system(3, 8), id="big-F3-8"),
     ])
     def test_certifies_without_listing_pairs(self, monkeypatch, g22, make):
         system = make(g22)
@@ -510,7 +508,7 @@ class TestCompletenessCertificates:
         assert not cert.complete
 
     def test_keeps_no_pair_list(self):
-        system = big_rewrite_system(FieldSpec(3), 8, truncated=True)
+        system = _big_system(3, 8)
         system.is_complete()  # fills the letter-action memo
         tracemalloc.start()
         try:
